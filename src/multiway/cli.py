@@ -97,7 +97,10 @@ def _class_dict(cls: GrowthClass) -> dict:
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     system = parse_system(_read_file(args.rules))
     # --horizon counts generations (rows), the library counts distances.
-    graph = evolve(system, args.horizon - 1, max_states=args.budget)
+    # Only DOT output reads the edges.
+    graph = evolve(
+        system, args.horizon - 1, max_states=args.budget, record_edges=args.format == "dot"
+    )
     series = growth_series(graph)
     config = {
         "command": "simulate",
@@ -141,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     system = parse_system(_read_file(args.rules))
-    graph = evolve(system, args.horizon - 1, max_states=args.budget)
+    graph = evolve(system, args.horizon - 1, max_states=args.budget, record_edges=False)
     series = growth_series(graph)
     report = classify(series)
     config = {

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -248,6 +249,66 @@ class StatesGraph:
         return dist
 
 
+_RulePlan = tuple[str, tuple[str, int, re.Pattern[str] | None]]
+
+
+def _rule_plans(system: MultiwaySystem) -> list[_RulePlan]:
+    """Per rule ``(lhs, (rhs, len(lhs), run))``, computed once per evolution.
+
+    ``run`` matches a run of c when lhs is one symbol c and rhs is in c*, and
+    is None otherwise.  The rest of a plan sits in an inner tuple because
+    every state scans every rule, and only a rule whose lhs occurs needs it.
+    """
+    plans: list[_RulePlan] = []
+    for lhs, rhs in system.rules:
+        run = None
+        if len(lhs) == 1 and rhs == lhs * len(rhs):
+            run = re.compile(re.escape(lhs) + "+")
+        plans.append((lhs, (rhs, len(lhs), run)))
+    return plans
+
+
+def _rewrite_groups(
+    plans: list[_RulePlan], state: str
+) -> list[tuple[str, int, Sequence[int]]]:
+    """Single-step rewrites of ``state`` as (result, rule index, positions).
+
+    Groups come in rule index order, then by position, and consecutive
+    matches of one rule that rewrite to the same string form one group whose
+    result is built once.  Two matches p < q of one rule (lhs length n) agree
+    exactly when ``rhs + state[p+n : q+n] == state[p:q] + rhs``: outside that
+    window both results are ``state[:p]`` and ``state[q+n:]``.  For a
+    one-symbol lhs c with rhs in c*, every match in a run of c gives the same
+    string, so the whole run is one group, taken in one step without visiting
+    its positions; the identity c -> c rewrites every run to ``state`` itself.
+    """
+    groups: list[tuple[str, int, Sequence[int]]] = []
+    for ri, (lhs, plan) in enumerate(plans):
+        p = state.find(lhs)
+        if p < 0:
+            continue
+        rhs, n, run = plan
+        if run is not None:
+            while p >= 0:
+                q = run.match(state, p).end()
+                result = state if rhs == lhs else state[:p] + rhs + state[p + 1 :]
+                groups.append((result, ri, range(p, q)))
+                p = state.find(lhs, q)
+            continue
+        result = state[:p] + rhs + state[p + n :]
+        positions = [p]
+        while (q := state.find(lhs, p + 1)) >= 0:
+            if rhs + state[p + n : q + n] == state[p:q] + rhs:
+                positions.append(q)
+            else:
+                groups.append((result, ri, positions))
+                result = state[:q] + rhs + state[q + n :]
+                positions = [q]
+            p = q
+        groups.append((result, ri, positions))
+    return groups
+
+
 def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]:
     """All single-step rewrites of ``state`` as (result, rule index, position).
 
@@ -255,26 +316,16 @@ def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]
     occurrences may overlap.  Order is deterministic: rule index ascending,
     then match position left to right.
 
-    Matches that rewrite to the same string share one result object, so a
-    run of L coinciding matches (``A -> AA`` on ``A...A``) costs O(L), not
-    O(L**2).  Two matches p0 < p of one rule (lhs length n) agree exactly
-    when ``rhs + state[p0+n : p+n] == state[p0:p] + rhs``: outside that
-    window both results are ``state[:p0]`` and ``state[p+n:]``.
+    Matches that rewrite to the same string share one result object, built
+    once.  A run of a one-symbol lhs c with rhs in c* (``A -> AA`` on
+    ``A...A``) is taken in one step; the returned list still holds one
+    triple per match.
     """
-    out: list[tuple[str, int, int]] = []
-    for ri, (lhs, rhs) in enumerate(system.rules):
-        p = state.find(lhs)
-        if p < 0:
-            continue
-        n = len(lhs)
-        result = state[:p] + rhs + state[p + n :]
-        out.append((result, ri, p))
-        while (q := state.find(lhs, p + 1)) >= 0:
-            if rhs + state[p + n : q + n] != state[p:q] + rhs:
-                result = state[:q] + rhs + state[q + n :]
-            out.append((result, ri, q))
-            p = q
-    return out
+    return [
+        (result, ri, pos)
+        for result, ri, positions in _rewrite_groups(_rule_plans(system), state)
+        for pos in positions
+    ]
 
 
 def evolve(
@@ -292,6 +343,13 @@ def evolve(
     still recorded as edges).  Once the frontier dies out, the remaining
     layers up to ``horizon`` are present but empty.
 
+    Cost per frontier state: a rewrite result is built and deduplicated
+    once per group of consecutive matches of one rule that give the same
+    string, not once per match.  For a one-symbol lhs c with rhs in c*, a
+    whole run of c is one group found in one step, so a run of L matches of
+    ``A -> AA`` costs one step, not L; other coinciding matches are still
+    found one by one.  Only recorded edges cost one step per match.
+
     Args:
         system: the rewriting system.
         horizon: largest distance to explore; the result has ``horizon + 1``
@@ -300,14 +358,15 @@ def evolve(
             this.  The partially built layer is dropped and the graph is
             flagged truncated rather than raising.
         max_cells: same, for the total number of stored characters.
-        record_edges: skip edge bookkeeping when False (cheaper for long
-            runs where only counts matter).
+        record_edges: when False, ``edges`` stays empty and no edge is
+            built; states and layers are the same either way.
 
     Returns:
         A :class:`StatesGraph`.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    plans = _rule_plans(system)
     states: list[str] = [system.init]
     index: dict[str, StateId] = {system.init: 0}
     layers: list[list[StateId]] = [[0]]
@@ -324,12 +383,12 @@ def evolve(
         fresh: dict[str, None] = {}
         events: list[tuple[StateId, str, int, int]] = []
         for u in frontier:
-            s = states[u]
-            for t, ri, pos in successors(system, s):
+            for t, ri, positions in _rewrite_groups(plans, states[u]):
                 if t not in index and t not in fresh:
                     fresh[t] = None
                 if record_edges:
-                    events.append((u, t, ri, pos))
+                    for pos in positions:
+                        events.append((u, t, ri, pos))
         new_strings = sorted(fresh)
         new_cells = sum(len(t) for t in new_strings)
         if len(states) + len(new_strings) > max_states:

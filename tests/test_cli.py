@@ -7,6 +7,7 @@ import json
 import pytest
 
 from multiway.cli import main
+from multiway.core import evolve
 from multiway.rulefiles import parse_system
 from multiway.tm import build_incrementer, compile_tm, enchain
 from multiway.zoo import ZOO, polynomial
@@ -98,6 +99,45 @@ def test_classify_json_report(write_file, capsys):
     assert doc["layers"] == 10
     assert doc["fits"]
     assert doc["caveat"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--horizon", "12"],
+        ["simulate", "--horizon", "12", "--budget", "300"],
+        ["simulate", "--horizon", "12", "--format", "json"],
+        ["classify", "--horizon", "16"],
+    ],
+)
+def test_output_without_edges_matches_output_with_edges(args, tmp_path, monkeypatch):
+    # Only DOT output reads edges, so the other commands evolve without them;
+    # their bytes must equal what the same command writes when it records edges.
+    rules = str(tmp_path / "intermediate.rules")
+    assert main(["zoo", "emit", "intermediate", "--out", rules]) == 0
+    command = [args[0], rules, *args[1:], "--out", str(tmp_path / "out")]
+    recorded = []
+
+    def spy(system, horizon, **kwargs):
+        recorded.append(kwargs["record_edges"])
+        return evolve(system, horizon, **kwargs)
+
+    def with_edges(system, horizon, **kwargs):
+        return evolve(system, horizon, **{**kwargs, "record_edges": True})
+
+    monkeypatch.setattr("multiway.cli.evolve", spy)
+    code = main(command)
+    without = (tmp_path / "out").read_bytes()
+    monkeypatch.setattr("multiway.cli.evolve", with_edges)
+    assert main(command) == code
+    assert without == (tmp_path / "out").read_bytes()
+    assert recorded == [False]
+
+
+def test_simulate_dot_records_edges(write_file, capsys):
+    # AA -> {ABA, AAB} by two matches, and each of those has two A's: 2 + 4 edges
+    assert main(["simulate", write_file(FIG1), "--horizon", "3", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.count(" -> ") == 6
 
 
 def test_classify_needs_eight_layers(write_file, capsys):

@@ -86,8 +86,20 @@ COINCIDING = [
     ([("[t]", "[t][t]"), ("[t]", "")], "[t][t][t]A[t]"),
 ]
 
+# One-symbol lhs c with rhs in c* (a whole run of c is one rewrite group),
+# mixed with rules of other shapes, on states holding several runs.
+RUNS = [
+    ([("A", "AA"), ("AB", "BA")], "AABAAAB"),
+    ([("A", "AAA"), ("B", "A")], "ABBAA"),
+    ([("A", "A"), ("B", "AB")], "AABA"),
+    ([("B", "A"), ("A", "A")], "ABAAB"),
+    ([("A", ""), ("BA", "AB"), ("A", "AA")], "AABAABA"),
+    ([("B", ""), ("A", "B")], "BBABBBAB"),
+    ([("[t]", "[t][t]"), ("A[t]", "[t]A"), ("[t]", "[t]")], "[t][t]A[t]A[t][t][t]"),
+]
 
-@pytest.mark.parametrize("rules, init", COINCIDING)
+
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS)
 def test_successors_match_per_position_construction(rules, init):
     m = make_system(rules, init)
     for s in evolve(m, 3).states:
@@ -107,7 +119,7 @@ def _naive_edge_multiset(rules, layers):
     )
 
 
-@pytest.mark.parametrize("rules, init", COINCIDING)
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS)
 def test_evolve_matches_naive_reference_on_coinciding_matches(rules, init):
     m = make_system(rules, init)
     rules = list(m.rules)
@@ -118,6 +130,22 @@ def test_evolve_matches_naive_reference_on_coinciding_matches(rules, init):
         assert [set(g.layer_strings(d)) for d in range(5)] == expected
     assert without.states == with_edges.states and without.edges == []
     assert _edge_multiset(with_edges) == _naive_edge_multiset(rules, expected)
+
+
+def test_a_run_is_one_rewrite_group():
+    # structural, not timed: 100,000 matches of A -> AA are one group, taken
+    # in one step (its positions are a range, not a list of visited matches),
+    # with one result string shared by every triple, and one new state
+    state = "A" * 100_000
+    m = make_system([("A", "AA")], state)
+    groups = core._rewrite_groups(core._rule_plans(m), state)
+    assert len(groups) == 1
+    result, ri, positions = groups[0]
+    assert result == state + "A" and ri == 0 and positions == range(100_000)
+    triples = successors(m, state)
+    assert [pos for _, _, pos in triples] == list(range(100_000))
+    assert all(t is triples[0][0] for t, _, _ in triples)
+    assert evolve(m, 1, record_edges=False).layer_strings(1) == [state + "A"]
 
 
 # Hand-derived evolution of ({A->BC, B->C, C->B}, "A"):
@@ -274,11 +302,14 @@ def test_engine_agrees_with_naive_reference(rules, init):
     assert evolve(m, 4, max_states=100_000, record_edges=False).states == g.states
 
 
-_run_init = st.text(alphabet=_sym, min_size=1, max_size=8)
+_run_init = st.text(alphabet=_sym, min_size=1, max_size=12)
+# one-symbol lhs c with rhs in c*: c -> "", c -> c, c -> cc, c -> ccc
+_run_rule = st.builds(lambda c, k: (c, c * k), _sym, st.integers(0, 3))
+_rules_with_runs = st.lists(st.one_of(_run_rule, st.tuples(_lhs, _word)), min_size=1, max_size=3)
 
 
-@settings(max_examples=120, deadline=None)
-@given(rules=_rules, init=_run_init)
+@settings(max_examples=200, deadline=None)
+@given(rules=_rules_with_runs, init=_run_init)
 def test_successors_agree_with_naive_reference(rules, init):
     m = make_system(rules, init, alphabet="AB")
     assert successors(m, init) == naive_successors(list(m.rules), init)
