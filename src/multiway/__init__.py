@@ -1,7 +1,6 @@
 """String rewriting multiway systems: evolution, growth analysis, composition."""
 
 from .core import (
-    CEILING_VIOLATIONS,
     Alphabet,
     CeilingViolation,
     Edge,

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
+from statistics import fmean, linear_regression
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import GrowthSeries
-
-logger = logging.getLogger(__name__)
 
 UNDECIDABILITY_CAVEAT = (
     "Growth-class verdicts are finite-horizon extrapolations; whether a "
@@ -222,32 +218,33 @@ class ClassificationReport:
         return self.envelopes.provisional_from
 
 
-# model name -> coordinate transform; a straight line in the transformed
-# coordinates means the model matches
+# model name -> coordinate transform of one point; a straight line in the
+# transformed coordinates means the model matches
 _MODELS: list[tuple[str, object]] = [
-    ("power", lambda x, y: (np.log(x), np.log(y))),
-    ("exponential", lambda x, y: (x, np.log(y))),
-    ("root-exponential", lambda x, y: (np.sqrt(x), np.log(y))),
-    ("logarithmic", lambda x, y: (np.log(x), y)),
-    ("log-squared", lambda x, y: (np.log(x) ** 2, y)),
-    ("log-log", lambda x, y: (np.log(np.log(x)), y)),
+    ("power", lambda x, y: (math.log(x), math.log(y))),
+    ("exponential", lambda x, y: (x, math.log(y))),
+    ("root-exponential", lambda x, y: (math.sqrt(x), math.log(y))),
+    ("logarithmic", lambda x, y: (math.log(x), y)),
+    ("log-squared", lambda x, y: (math.log(x) ** 2, y)),
+    ("log-log", lambda x, y: (math.log(math.log(x)), y)),
 ]
 
 
-def _linreg(X: np.ndarray, Y: np.ndarray) -> tuple[float, float, float]:
-    A = np.vstack([X, np.ones_like(X)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, Y, rcond=None)
-    pred = slope * X + intercept
-    ss_res = float(np.sum((Y - pred) ** 2))
-    ss_tot = float(np.sum((Y - np.mean(Y)) ** 2))
-    if ss_tot == 0:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+def _linreg(X: Sequence[float], Y: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line through (X, Y): slope, intercept and r².
+
+    X must hold at least two distinct values.  When Y has no spread
+    (``ss_tot == 0``) the flat line fits it exactly and r² is 1.
+    """
+    slope, intercept = linear_regression(X, Y)
+    mean_y = fmean(Y)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(X, Y))
+    ss_tot = math.fsum((y - mean_y) ** 2 for y in Y)
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
 
 
-def _fit_points(env: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _fit_points(env: Sequence[int]) -> list[tuple[int, int]]:
     """The envelope's increase knots within the fit window, as fit data.
 
     Fitting the raw staircase punishes slowly-growing series (long flat
@@ -255,7 +252,9 @@ def _fit_points(env: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     manufactures points that blur the models together; each completed step
     of the staircase is one honest observation.  The window starts at the
     first increase at or past the burn-in, so a flat lead-in does not bias
-    the slope, and always includes the final layer.
+    the slope, and always includes the final layer.  For ``len(env) >=
+    MIN_LAYERS`` the window start lies below ``len(env) - 1``, so there are
+    always at least two distinct x.
     """
     h = len(env)
     start = max(2, math.ceil(BURN_IN_FRACTION * h))
@@ -264,15 +263,14 @@ def _fit_points(env: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     if w0 >= h - 1:
         w0 = start
     knot_x = [w0] + [i for i in increases if w0 < i < h - 1] + [h - 1]
-    knot_y = [env[i] for i in knot_x]
-    return np.array(knot_x, dtype=float), np.array(knot_y, dtype=float)
+    return [(x, env[x]) for x in knot_x]
 
 
 def _fit_envelope(env: Sequence[int], fits: dict[str, float], prefix: str) -> GrowthClass:
-    xs, ys = _fit_points(env)
+    points = _fit_points(env)
     best: tuple[float, str, float] | None = None
     for name, transform in _MODELS:
-        X, Y = transform(xs, ys)  # type: ignore[operator]
+        X, Y = zip(*(transform(x, y) for x, y in points))  # type: ignore[operator]
         slope, _, r2 = _linreg(X, Y)
         fits[f"{prefix}:{name}"] = r2
         if slope <= 1e-9:

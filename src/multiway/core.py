@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
@@ -108,6 +108,12 @@ class Alphabet:
     def parse(cls, text: str) -> Alphabet:
         return cls(tuple(parse_glyphs(text)))
 
+    @classmethod
+    def infer(cls, init: str, rules: Iterable[tuple[str, str]]) -> Alphabet:
+        """The symbols of encoded ``init``, then of each rule's lhs and rhs,
+        in order of first appearance."""
+        return cls(tuple(dict.fromkeys(init + "".join(lhs + rhs for lhs, rhs in rules))))
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -191,13 +197,7 @@ def make_system(
     parsed = [Rule(parse_glyphs(l), parse_glyphs(r)) for l, r in rules]
     parsed_init = parse_glyphs(init)
     if alphabet is None:
-        order: dict[Symbol, None] = {}
-        for c in parsed_init:
-            order.setdefault(c)
-        for rule in parsed:
-            for c in rule.lhs + rule.rhs:
-                order.setdefault(c)
-        alpha = Alphabet(tuple(order))
+        alpha = Alphabet.infer(parsed_init, parsed)
     elif isinstance(alphabet, Alphabet):
         alpha = alphabet
     else:
@@ -420,21 +420,13 @@ def evolve(
 # Growth series
 
 
-@dataclass
-class GrowthSeries:
-    """Per-distance state counts and longest-string lengths."""
-
-    counts: list[int]
-    max_len: list[int]
-
-
 @dataclass(frozen=True)
 class CeilingViolation:
     """A layer holding more states than |alphabet| ** (longest string there).
 
     That bound only counts the strings of maximal length, so rule sets that
     fan out to many *shorter* strings can exceed it.  Violations are
-    recorded here rather than raised.
+    recorded on the :class:`GrowthSeries` rather than raised.
     """
 
     init: str
@@ -444,7 +436,17 @@ class CeilingViolation:
     max_len: int
 
 
-CEILING_VIOLATIONS: list[CeilingViolation] = []
+@dataclass
+class GrowthSeries:
+    """Per-distance state counts and longest-string lengths.
+
+    ``ceiling_violations`` lists the layers that broke the combinatorial
+    bound, when :func:`growth_series` checked it.
+    """
+
+    counts: list[int]
+    max_len: list[int]
+    ceiling_violations: list[CeilingViolation] = field(default_factory=list)
 
 
 def _within_ceiling(count: int, base: int, exponent: int) -> bool:
@@ -462,16 +464,15 @@ def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSerie
 
     ``counts[0]`` is always 1 (the initial string).  Empty layers report
     ``max_len`` 0.  With ``check_ceiling`` every layer is tested against the
-    combinatorial bound |alphabet| ** max_len; failures are appended to
-    :data:`CEILING_VIOLATIONS` and logged, never raised.
+    combinatorial bound |alphabet| ** max_len; failures are recorded in the
+    series' ``ceiling_violations`` and logged, never raised.
     """
-    counts: list[int] = []
-    max_len: list[int] = []
+    series = GrowthSeries([], [])
     base = len(graph.system.alphabet)
     for d, layer in enumerate(graph.layers):
-        counts.append(len(layer))
+        series.counts.append(len(layer))
         longest = max((len(graph.states[i]) for i in layer), default=0)
-        max_len.append(longest)
+        series.max_len.append(longest)
         if check_ceiling and not _within_ceiling(len(layer), base, longest):
             v = CeilingViolation(
                 init=render_glyphs(graph.system.init),
@@ -480,12 +481,12 @@ def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSerie
                 alphabet_size=base,
                 max_len=longest,
             )
-            CEILING_VIOLATIONS.append(v)
+            series.ceiling_violations.append(v)
             logger.warning(
                 "count ceiling exceeded at distance %d: %d states > %d**%d",
                 d, len(layer), base, longest,
             )
-    return GrowthSeries(counts, max_len)
+    return series
 
 
 # ---------------------------------------------------------------------------

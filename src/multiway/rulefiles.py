@@ -71,13 +71,7 @@ def parse_system(text: str) -> MultiwaySystem:
     if init is None:
         raise ParseError("missing init line")
     if alphabet is None:
-        order: dict[str, None] = {}
-        for c in init:
-            order.setdefault(c)
-        for rule in rules:
-            for c in rule.lhs + rule.rhs:
-                order.setdefault(c)
-        alphabet = Alphabet(tuple(order))
+        alphabet = Alphabet.infer(init, rules)
     else:
         for encoded, lineno, what in checks:
             try:

@@ -12,6 +12,7 @@ from multiway.analysis import (
     GrowthClass,
     PiecewiseLinear,
     UNDECIDABILITY_CAVEAT,
+    _linreg,
     check_staircase_inversion,
     classify,
     envelopes,
@@ -275,3 +276,46 @@ def test_classify_flat_lower_envelope_is_undetermined():
 def test_report_exposes_provisional_tail():
     report = classify(_series([1, 2, 4, 8, 16, 32, 64, 128]))
     assert report.provisional_tail == report.envelopes.provisional_from == 1
+
+
+# --- least-squares fit -----------------------------------------------------
+
+
+def _exact_linreg(xs, ys):
+    """Slope, intercept and r² from the normal equations, in exact rationals."""
+    n = len(xs)
+    sx, sy = sum(map(Fraction, xs)), sum(map(Fraction, ys))
+    sxx = sum(Fraction(x) * x for x in xs)
+    sxy = sum(Fraction(x) * y for x, y in zip(xs, ys))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    intercept = (sy - slope * sx) / n
+    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - sy / n) ** 2 for y in ys)
+    r2 = Fraction(1) if ss_tot == 0 else 1 - ss_res / ss_tot
+    return slope, intercept, r2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10_000, 10_000), min_size=2, max_size=40, unique=True).flatmap(
+        lambda xs: st.tuples(
+            st.just(xs),
+            st.lists(st.integers(-10**6, 10**6), min_size=len(xs), max_size=len(xs)),
+        )
+    )
+)
+def test_linreg_matches_exact_normal_equations(points):
+    xs, ys = points
+    slope, intercept, r2 = _linreg([float(x) for x in xs], [float(y) for y in ys])
+    want_slope, want_intercept, want_r2 = _exact_linreg(xs, ys)
+    # zero-valued results are compared on the scale of the data
+    y_scale = max(map(abs, ys)) or 1
+    slope_scale = y_scale / (max(xs) - min(xs))
+    intercept_scale = y_scale + abs(want_slope) * max(map(abs, xs))
+    assert slope == pytest.approx(float(want_slope), rel=1e-9, abs=1e-9 * slope_scale)
+    assert intercept == pytest.approx(float(want_intercept), rel=1e-9, abs=1e-9 * intercept_scale)
+    assert r2 == pytest.approx(float(want_r2), rel=1e-9, abs=1e-9)
+
+
+def test_linreg_flat_line_fits_exactly():
+    assert _linreg([2.0, 3.0, 5.0, 8.0], [7.0, 7.0, 7.0, 7.0]) == (0.0, 7.0, 1.0)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,10 @@ def test_budget_env_var(write_file, capsys, monkeypatch):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "multiway 0.1.0"
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy would cost every command more start-up time than the whole package
+    code = 'import multiway.cli, sys; assert "numpy" not in sys.modules'
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from multiway import core
 from multiway.core import (
-    CEILING_VIOLATIONS,
     Edge,
     GlyphError,
     Rule,
@@ -240,17 +239,12 @@ def test_count_ceiling_violation_is_recorded_not_raised():
     # bound from the longest string there is 3**2 = 9.
     targets = ["", "a", "b", "aa", "ab", "ba", "bb", "aI", "Ia", "II", "bI", "Ib"]
     m = make_system([("I", t) for t in targets], "I", alphabet="Iab")
-    saved = list(CEILING_VIOLATIONS)
-    CEILING_VIOLATIONS.clear()
-    try:
-        series = growth_series(evolve(m, 1))
-        assert series.counts == [1, 12]
-        assert len(CEILING_VIOLATIONS) == 1
-        v = CEILING_VIOLATIONS[0]
-        assert (v.distance, v.count, v.alphabet_size, v.max_len) == (1, 12, 3, 2)
-    finally:
-        CEILING_VIOLATIONS.clear()
-        CEILING_VIOLATIONS.extend(saved)
+    series = growth_series(evolve(m, 1))
+    assert series.counts == [1, 12]
+    assert len(series.ceiling_violations) == 1
+    v = series.ceiling_violations[0]
+    assert (v.distance, v.count, v.alphabet_size, v.max_len) == (1, 12, 3, 2)
+    assert growth_series(evolve(m, 1), check_ceiling=False).ceiling_violations == []
 
 
 def test_export_dot_golden():

@@ -30,6 +30,11 @@ def test_parse_basic():
 def test_parse_infers_alphabet_when_line_absent():
     m = parse_system("init: BA\nrule: A -> C\n")
     assert m.alphabet.glyphs == ("B", "A", "C")
+    # the rule-file parser and make_system infer the same alphabet
+    m = parse_system("init: _1H[q1]_\nrule: 1H[q1]0 -> 10H[q2]\nrule: [q2]1 -> [q1]X\n")
+    assert m.alphabet.glyphs == ("_", "1", "H", "[q1]", "0", "[q2]", "X")
+    rules = [("1H[q1]0", "10H[q2]"), ("[q2]1", "[q1]X")]
+    assert make_system(rules, "_1H[q1]_").alphabet == m.alphabet
 
 
 def test_lines_in_any_order():
