@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -153,9 +152,15 @@ def check_rule_independence(
     """Do the two rule sets leave each other's evolutions untouched?
 
     Disjoint alphabets decide the question outright.  Otherwise each operand
-    is evolved next to a merged-rules variant of itself and the layered
-    graphs are compared; simulation can only ever certify independence up to
-    the horizon.
+    is evolved next to a merged-rules variant of itself: same initial
+    string, its own rules first, then the other's.  Every state and simple
+    edge of the operand's graph is also one of the merged graph's, so the
+    two finite graphs are isomorphic exactly when they are equal, and so are
+    their prefixes up to any layer.  The check therefore compares, layer by
+    layer, the set of states plus the (source, target) string pairs whose
+    later endpoint lies in that layer; the first layer that differs is the
+    witness.  This is exact at any size, but simulation can only ever
+    certify independence up to the horizon.
     """
     if horizon < 2:
         raise ValueError("independence horizon must be >= 2")
@@ -166,29 +171,21 @@ def check_rule_independence(
             own.alphabet.union(other.alphabet), own.rules + other.rules, own.init
         )
         ga, gm = evolve(own, horizon), evolve(merged, horizon)
-        ok, _ = layered_isomorphic(ga, gm)
-        if not ok:
-            witness = horizon
-            for d in range(horizon + 1):
-                ok_d, _ = layered_isomorphic(_graph_prefix(ga, d), _graph_prefix(gm, d))
-                if not ok_d:
-                    witness = d
-                    break
-            return IndependenceVerdict("dependent", witness)
+        if len(ga.layers) != len(gm.layers):
+            raise ValueError("graphs must be evolved to the same horizon")
+        for d, (a, m) in enumerate(zip(_layer_contents(ga), _layer_contents(gm))):
+            if a != m:
+                return IndependenceVerdict("dependent", d)
     return IndependenceVerdict("independent_up_to_horizon")
 
 
-def _graph_prefix(graph: StatesGraph, depth: int) -> StatesGraph:
-    """Restrict a states graph to layers 0..depth (ids are layer-contiguous)."""
-    keep = sum(len(layer) for layer in graph.layers[: depth + 1])
-    return StatesGraph(
-        graph.system,
-        graph.states[:keep],
-        graph.layers[: depth + 1],
-        [e for e in graph.edges if e.src < keep and e.dst < keep],
-        graph.truncated,
-        graph.truncation_reason,
-    )
+def _layer_contents(graph: StatesGraph) -> list[set]:
+    """Per layer, its states plus the simple edges whose later endpoint lies in it."""
+    states, dist = graph.states, graph.state_distances()
+    contents: list[set] = [{states[v] for v in layer} for layer in graph.layers]
+    for e in graph.edges:
+        contents[max(dist[e.src], dist[e.dst])].add((states[e.src], states[e.dst]))
+    return contents
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +319,23 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
         return True
 
     order = sorted(range(n), key=lambda v: (dist1[v], len(candidates.get(colors1[v], ())), v))
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in candidates.get(colors1[v], ()):
-            if inverse[w] != -1 or not consistent(v, w):
-                continue
-            mapping[v], inverse[w] = w, v
-            if extend(k + 1):
-                return True
-            mapping[v], inverse[w] = -1, -1
-        return False
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, n + 200))
-    try:
-        found = extend(0)
-    finally:
-        sys.setrecursionlimit(limit)
-    return (True, None) if found else (False, None)
+    # depth-first search: level k of the stack tries the candidates for order[k]
+    stack = [iter(candidates.get(colors1[order[0]], ()))]
+    while stack:
+        v = order[len(stack) - 1]
+        if mapping[v] != -1:  # back at this level: undo the choice that failed
+            inverse[mapping[v]], mapping[v] = -1, -1
+        for w in stack[-1]:
+            if inverse[w] == -1 and consistent(v, w):
+                mapping[v], inverse[w] = w, v
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == n:
+            return True, None
+        stack.append(iter(candidates.get(colors1[order[len(stack)]], ())))
+    return False, None
 
 
 # ---------------------------------------------------------------------------

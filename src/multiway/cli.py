@@ -19,14 +19,17 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import product_systems, reduce_to_binary, sum_systems
-from .analysis import GrowthClass, classify
 from .core import evolve, export_dot, growth_series
 from .rulefiles import ParseError, format_system, parse_system
-from .tm import compile_tm, enchain, parse_tm
-from .zoo import ZOO
+
+if TYPE_CHECKING:
+    from .analysis import GrowthClass
+
+# algebra, analysis, tm and zoo are imported by the commands that run them,
+# so start-up pays only for core and rulefiles
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,6 +146,8 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .analysis import classify
+
     system = parse_system(_read_file(args.rules))
     graph = evolve(system, args.horizon - 1, max_states=args.budget, record_edges=False)
     series = growth_series(graph)
@@ -170,6 +175,8 @@ def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_compile_tm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .tm import compile_tm, enchain, parse_tm
+
     machine = parse_tm(_read_file(args.machine))
     if args.enchain:
         system = enchain(machine, start_input=args.input)
@@ -186,6 +193,8 @@ def cmd_compile_tm(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def cmd_combine(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .algebra import product_systems, reduce_to_binary, sum_systems
+
     wanted = 1 if args.op == "reduce" else 2
     if len(args.operands) != wanted:
         parser.error(f"--op {args.op} takes exactly {wanted} operand file(s)")
@@ -229,6 +238,8 @@ def cmd_combine(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def cmd_zoo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .zoo import ZOO
+
     if args.action == "list":
         config = {"command": "zoo list", "format": args.format}
         if args.format == "json":

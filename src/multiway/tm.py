@@ -11,7 +11,6 @@ functions measurable as growth.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -19,8 +18,6 @@ from typing import Iterable, Mapping
 from .analysis import occurrence_sequence
 from .core import MultiwaySystem, make_system
 from .rulefiles import ParseError
-
-logger = logging.getLogger(__name__)
 
 LEFT = "L"
 RIGHT = "R"

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_independence
+
+from multiway import algebra
 from multiway.algebra import (
+    BACKTRACK_NODE_LIMIT,
     SEMIRING_IDENTITIES,
     check_rule_independence,
     layered_isomorphic,
@@ -199,6 +205,15 @@ def test_independence_horizon_must_be_at_least_two():
         check_rule_independence(SYS_AB, SHUTTLE, horizon=1)
 
 
+def test_independence_requires_matching_horizons(monkeypatch):
+    # a state budget that truncates only the merged evolution leaves it short of layers
+    monkeypatch.setattr(algebra, "evolve", lambda system, horizon: evolve(system, horizon, max_states=3))
+    m1 = make_system([("A", "B")], "A")
+    m2 = make_system([("B", "BB")], "B")
+    with pytest.raises(ValueError, match="same horizon"):
+        check_rule_independence(m1, m2, horizon=4)
+
+
 # ---------------------------------------------------------------------------
 # Layered graph isomorphism
 
@@ -225,6 +240,21 @@ def test_isomorphism_requires_matching_horizons():
 def test_empty_tail_graphs_are_isomorphic():
     g = evolve(one_system(), 3)
     assert layered_isomorphic(g, evolve(one_system(), 3)) == (True, None)
+
+
+def test_deep_search_does_not_touch_the_recursion_limit(monkeypatch):
+    # P x E at horizon 10: the exact search goes one level deep per state,
+    # far past the default recursion limit
+    def refuse(limit):
+        raise AssertionError("the search must not need a higher recursion limit")
+
+    p = make_system([("A", "AB")], "AA")
+    e = make_system([("Q", "Qx"), ("Q", "Qy")], "Q")
+    states = len(evolve(product_systems(p, e).system, 10).states)
+    assert sys.getrecursionlimit() < states <= BACKTRACK_NODE_LIMIT
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    report = verify_semiring_identity("prod-comm", p, e, horizon=10)
+    assert report.holds and report.mode == "isomorphism"
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +348,22 @@ def test_reduction_faithful_on_random_systems(rules, init):
     g = evolve(m, 4, max_states=2_000)
     assume(not g.truncated)
     _assert_reduction_faithful(m, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rules1=st.lists(st.tuples(_lhs, _word), min_size=1, max_size=3),
+    init1=st.text(alphabet=_sym, min_size=1, max_size=3),
+    rules2=st.lists(st.tuples(_lhs, _word), min_size=1, max_size=3),
+    init2=st.text(alphabet=_sym, min_size=1, max_size=3),
+    horizon=st.integers(2, 5),
+)
+def test_independence_matches_isomorphism_reference(rules1, init1, rules2, init2, horizon):
+    # one shared alphabet, so the verdict always comes from simulation
+    m1 = make_system(rules1, init1, alphabet="ABC")
+    m2 = make_system(rules2, init2, alphabet="ABC")
+    verdict = check_rule_independence(m1, m2, horizon)
+    assert (verdict.status, verdict.witness_layer) == reference_independence(m1, m2, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,13 @@ def test_version_flag(capsys):
 
 
 def test_cli_import_loads_no_numpy():
-    # numpy would cost every command more start-up time than the whole package
-    code = 'import multiway.cli, sys; assert "numpy" not in sys.modules'
+    # numpy would cost every command more start-up time than the whole package,
+    # and algebra, analysis, tm and zoo load only in the commands that run them
+    code = (
+        "import multiway.cli, sys\n"
+        'assert "numpy" not in sys.modules\n'
+        'loaded = {m for m in sys.modules if m.split(".")[0] == "multiway"}\n'
+        'assert loaded == {"multiway", "multiway.cli", "multiway.core", "multiway.rulefiles"}, loaded\n'
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
