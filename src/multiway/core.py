@@ -249,29 +249,36 @@ class StatesGraph:
         return dist
 
 
-_RulePlan = tuple[str, tuple[str, int, re.Pattern[str] | None]]
+_RulePlan = tuple[str, str, int, re.Pattern[str] | None]
+_Plans = tuple[list[_RulePlan], list[tuple[str, tuple[int, ...]]]]
 
 
-def _rule_plans(system: MultiwaySystem) -> list[_RulePlan]:
-    """Per rule ``(lhs, (rhs, len(lhs), run))``, computed once per evolution.
+def _rule_plans(system: MultiwaySystem) -> _Plans:
+    """Rule plans and the rule indices of each distinct lhs, computed once per evolution.
 
-    ``run`` matches a run of c when lhs is one symbol c and rhs is in c*, and
-    is None otherwise.  The rest of a plan sits in an inner tuple because
-    every state scans every rule, and only a rule whose lhs occurs needs it.
+    A plan is ``(lhs, rhs, len(lhs), run)`` per rule, where ``run`` matches a
+    run of c when lhs is one symbol c and rhs is in c*, and is None
+    otherwise.  The distinct left-hand sides come in first-appearance order,
+    each with the ascending indices of the rules that share it, so one
+    containment test per distinct lhs tells which rules can match a state.
     """
     plans: list[_RulePlan] = []
-    for lhs, rhs in system.rules:
+    by_lhs: dict[str, list[int]] = {}
+    for ri, (lhs, rhs) in enumerate(system.rules):
         run = None
         if len(lhs) == 1 and rhs == lhs * len(rhs):
             run = re.compile(re.escape(lhs) + "+")
-        plans.append((lhs, (rhs, len(lhs), run)))
-    return plans
+        plans.append((lhs, rhs, len(lhs), run))
+        by_lhs.setdefault(lhs, []).append(ri)
+    return plans, [(lhs, tuple(ris)) for lhs, ris in by_lhs.items()]
 
 
-def _rewrite_groups(
-    plans: list[_RulePlan], state: str
-) -> list[tuple[str, int, Sequence[int]]]:
+def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[int]]]:
     """Single-step rewrites of ``state`` as (result, rule index, positions).
+
+    One ``in`` test per distinct lhs selects the rules that match at all;
+    only those are searched for positions, so a rule whose lhs is absent
+    costs its share of one containment test and no method call.
 
     Groups come in rule index order, then by position, and consecutive
     matches of one rule that rewrite to the same string form one group whose
@@ -282,12 +289,18 @@ def _rewrite_groups(
     string, so the whole run is one group, taken in one step without visiting
     its positions; the identity c -> c rewrites every run to ``state`` itself.
     """
+    rules, by_lhs = plans
+    # a loop, not a comprehension: Python 3.11 makes a frame per comprehension
+    hits: list[tuple[int, ...]] = []
+    for lhs, ris in by_lhs:
+        if lhs in state:
+            hits.append(ris)
+    if not hits:
+        return []
     groups: list[tuple[str, int, Sequence[int]]] = []
-    for ri, (lhs, plan) in enumerate(plans):
+    for ri in hits[0] if len(hits) == 1 else sorted(sum(hits, ())):
+        lhs, rhs, n, run = rules[ri]
         p = state.find(lhs)
-        if p < 0:
-            continue
-        rhs, n, run = plan
         if run is not None:
             while p >= 0:
                 q = run.match(state, p).end()
@@ -343,21 +356,27 @@ def evolve(
     still recorded as edges).  Once the frontier dies out, the remaining
     layers up to ``horizon`` are present but empty.
 
-    Cost per frontier state: a rewrite result is built and deduplicated
-    once per group of consecutive matches of one rule that give the same
-    string, not once per match.  For a one-symbol lhs c with rhs in c*, a
-    whole run of c is one group found in one step, so a run of L matches of
-    ``A -> AA`` costs one step, not L; other coinciding matches are still
-    found one by one.  Only recorded edges cost one step per match.
+    Cost per frontier state: one containment test per distinct left-hand
+    side, then a position scan only for the rules whose lhs occurs, so rules
+    whose lhs is absent from the state cost next to nothing.  A rewrite
+    result is built and deduplicated once per group of consecutive matches
+    of one rule that give the same string, not once per match.  For a
+    one-symbol lhs c with rhs in c*, a whole run of c is one group found in
+    one step, so a run of L matches of ``A -> AA`` costs one step, not L;
+    other coinciding matches are still found one by one.  Only recorded
+    edges cost one step per match.
 
     Args:
         system: the rewriting system.
         horizon: largest distance to explore; the result has ``horizon + 1``
             layers (layer 0 is the initial string).
-        max_states: stop before the total number of stored states exceeds
-            this.  The partially built layer is dropped and the graph is
-            flagged truncated rather than raising.
-        max_cells: same, for the total number of stored characters.
+        max_states: stop as soon as the states stored plus the new ones
+            found for the layer being built exceed this.  The partially
+            built layer and its edges are dropped and the graph is flagged
+            truncated rather than raising.
+        max_cells: same, for the total number of stored characters.  Both
+            budgets are checked as each new string is found, so a layer
+            that breaks one stops there instead of being built in full.
         record_edges: when False, ``edges`` stays empty and no edge is
             built; states and layers are the same either way.
 
@@ -372,7 +391,6 @@ def evolve(
     layers: list[list[StateId]] = [[0]]
     edges: list[Edge] = []
     cells = len(system.init)
-    truncated = False
     reason: str | None = None
 
     frontier: list[StateId] = [0]
@@ -382,25 +400,29 @@ def evolve(
             continue
         fresh: dict[str, None] = {}
         events: list[tuple[StateId, str, int, int]] = []
+        state_room = max_states - len(states)
+        cell_room = max_cells - cells
+        new_cells = 0
         for u in frontier:
             for t, ri, positions in _rewrite_groups(plans, states[u]):
                 if t not in index and t not in fresh:
                     fresh[t] = None
+                    new_cells += len(t)
+                    if len(fresh) > state_room:
+                        reason = f"more than {max_states} states while building layer {d}"
+                        break
+                    if new_cells > cell_room:
+                        reason = f"more than {max_cells} stored cells while building layer {d}"
+                        break
                 if record_edges:
                     for pos in positions:
                         events.append((u, t, ri, pos))
-        new_strings = sorted(fresh)
-        new_cells = sum(len(t) for t in new_strings)
-        if len(states) + len(new_strings) > max_states:
-            truncated = True
-            reason = f"more than {max_states} states while building layer {d}"
-            break
-        if cells + new_cells > max_cells:
-            truncated = True
-            reason = f"more than {max_cells} stored cells while building layer {d}"
+            if reason is not None:
+                break
+        if reason is not None:
             break
         layer: list[StateId] = []
-        for t in new_strings:
+        for t in sorted(fresh):
             index[t] = len(states)
             states.append(t)
             layer.append(index[t])
@@ -411,9 +433,9 @@ def evolve(
                 edges.append(Edge(u, index[t], ri, pos))
         frontier = layer
 
-    if truncated:
+    if reason is not None:
         logger.warning("evolution truncated: %s", reason)
-    return StatesGraph(system, states, layers, edges, truncated, reason)
+    return StatesGraph(system, states, layers, edges, reason is not None, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from conftest import naive_layers, naive_successors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiway import core
+from multiway import core, zoo
 from multiway.core import (
     Edge,
     GlyphError,
@@ -97,8 +99,20 @@ RUNS = [
     ([("[t]", "[t][t]"), ("A[t]", "[t]A"), ("[t]", "[t]")], "[t][t]A[t]A[t][t][t]"),
 ]
 
+# Rules grouped by lhs: one lhs shared by rules at non-adjacent indices (the
+# shape of intermediate's TL and RT rules), an lhs that is a prefix of
+# another, and states in which no lhs occurs (the init, or a later state).
+SHARED_LHS = [
+    ([("TL", "TaR"), ("RT", "LaT"), ("Ra", "aR"), ("aL", "La"),
+      ("TL", "TbR"), ("RT", "LbT"), ("Rb", "bR"), ("bL", "Lb")], "TLT"),
+    ([("TL", "TaR"), ("Ra", "aR"), ("TL", "TbR"), ("aL", "La"), ("TL", "")], "TLaRTLbL"),
+    ([("A", "B"), ("AB", ""), ("B", "BA")], "AABAB"),
+    ([("AB", "BA"), ("C", "D")], "BBAA"),
+    ([("AB", "C"), ("C", "AB"), ("AB", "")], "ABAB"),
+]
 
-@pytest.mark.parametrize("rules, init", COINCIDING + RUNS)
+
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS)
 def test_successors_match_per_position_construction(rules, init):
     m = make_system(rules, init)
     for s in evolve(m, 3).states:
@@ -118,7 +132,7 @@ def _naive_edge_multiset(rules, layers):
     )
 
 
-@pytest.mark.parametrize("rules, init", COINCIDING + RUNS)
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS)
 def test_evolve_matches_naive_reference_on_coinciding_matches(rules, init):
     m = make_system(rules, init)
     rules = list(m.rules)
@@ -145,6 +159,24 @@ def test_a_run_is_one_rewrite_group():
     assert [pos for _, _, pos in triples] == list(range(100_000))
     assert all(t is triples[0][0] for t, _, _ in triples)
     assert evolve(m, 1, record_edges=False).layer_strings(1) == [state + "A"]
+
+
+def test_absent_lhs_is_never_searched():
+    # structural, not timed: a rule whose lhs does not occur in the state is
+    # skipped by a containment test, so its lhs is never passed to find
+    class RecordingState(str):
+        needles: list[str] = []
+
+        def find(self, sub, *args):
+            self.needles.append(sub)
+            return super().find(sub, *args)
+
+    absent = [(f"[x{i}]", "B") for i in range(50)]
+    m = make_system(absent[:25] + [("A", "AB")] + absent[25:], "AAB")
+    state = RecordingState(m.init)
+    groups = core._rewrite_groups(core._rule_plans(m), state)
+    assert [(t, ri, list(ps)) for t, ri, ps in groups] == [("ABAB", 25, [0]), ("AABB", 25, [1])]
+    assert RecordingState.needles and set(RecordingState.needles) == {"A"}
 
 
 # Hand-derived evolution of ({A->BC, B->C, C->B}, "A"):
@@ -214,6 +246,25 @@ def test_truncation_on_cell_budget():
     assert g.truncated
     assert "cells" in (g.truncation_reason or "")
     assert g.horizon == 2
+
+
+@pytest.mark.parametrize(
+    "budget, limit, unit", [("max_states", 20_000, "states"), ("max_cells", 100_000, "stored cells")]
+)
+def test_budgets_stop_a_layer_while_it_is_built(budget, limit, unit):
+    # layers 0..3 of 26-way branching hold 18,279 states and 72,385 cells;
+    # layer 4 would add 456,976 strings, a 45.6 MB tracemalloc peak if it
+    # were built in full before the budgets were checked
+    tracemalloc.start()
+    try:
+        g = evolve(zoo.exponential(26), 4, record_edges=False, **{budget: limit})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.truncated
+    assert g.truncation_reason == f"more than {limit} {unit} while building layer 4"
+    assert growth_series(g).counts == [1, 26, 676, 17576]
+    assert peak < 10 * 2**20
 
 
 def test_dead_frontier_pads_empty_layers():
@@ -296,10 +347,15 @@ def test_engine_agrees_with_naive_reference(rules, init):
     assert evolve(m, 4, max_states=100_000, record_edges=False).states == g.states
 
 
-_run_init = st.text(alphabet=_sym, min_size=1, max_size=12)
+_run_init = st.text(alphabet=_sym, min_size=1, max_size=40)
 # one-symbol lhs c with rhs in c*: c -> "", c -> c, c -> cc, c -> ccc
 _run_rule = st.builds(lambda c, k: (c, c * k), _sym, st.integers(0, 3))
-_rules_with_runs = st.lists(st.one_of(_run_rule, st.tuples(_lhs, _word)), min_size=1, max_size=3)
+# up to six rules over five left-hand sides, so that rules share an lhs and
+# several lhs occur in one state
+_shared_lhs = st.sampled_from(["A", "B", "AA", "AB", "BA"])
+_rules_with_runs = st.lists(
+    st.one_of(_run_rule, st.tuples(_shared_lhs, _word)), min_size=1, max_size=6
+)
 
 
 @settings(max_examples=200, deadline=None)
