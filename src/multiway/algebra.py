@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -242,11 +241,14 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
     """Isomorphism of layered states graphs, as simple directed graphs.
 
     Parallel rewrites between the same pair of states collapse to one edge —
-    the comparison is about which states lead to which.  Colors start
-    from the layer index and are refined jointly by in/out neighborhood
-    multisets; graphs up to ``BACKTRACK_NODE_LIMIT`` nodes then get an exact
-    backtracking search over the color classes.  Returns (verdict, witness)
-    where witness is a layer exhibiting a mismatch, when identifiable.
+    the comparison is about which states lead to which.  Colors start from
+    the layer index and are refined jointly by in/out neighborhood multisets
+    (1-dimensional Weisfeiler–Leman on sorted neighbour colours); graphs up
+    to ``BACKTRACK_NODE_LIMIT`` nodes then get an exact backtracking search
+    over the color classes.  Above it a ``True`` rests on refinement alone,
+    which some non-isomorphic graphs pass (Cai, Fürer & Immerman 1992); a
+    ``False`` is always exact.  Returns (verdict, witness) where witness is a
+    layer exhibiting a mismatch, when identifiable.
     """
     if len(g1.layers) != len(g2.layers):
         raise ValueError("graphs must be evolved to the same horizon")
@@ -267,29 +269,23 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
     colors2 = list(dist2)
 
     def refine(colors, fwd, back, table):
-        out = []
-        for v in range(len(colors)):
-            sig = (
-                colors[v],
-                tuple(sorted(Counter(colors[u] for u in fwd[v]).items())),
-                tuple(sorted(Counter(colors[u] for u in back[v]).items())),
-            )
-            out.append(table.setdefault(sig, len(table)))
-        return out
+        key = colors.__getitem__
+        return [
+            table.setdefault((c, tuple(sorted(map(key, f))), tuple(sorted(map(key, b)))), len(table))
+            for c, f, b in zip(colors, fwd, back)
+        ]
 
     for _ in range(n):
         table: dict = {}
         new1 = refine(colors1, fwd1, back1, table)
         new2 = refine(colors2, fwd2, back2, table)
-        stable = len(set(new1)) == len(set(colors1)) and new1 == colors1
+        stable = new1 == colors1
         colors1, colors2 = new1, new2
         if stable:
             break
 
-    by_layer1 = [Counter(colors1[v] for v in layer) for layer in g1.layers]
-    by_layer2 = [Counter(colors2[v] for v in layer) for layer in g2.layers]
-    for d, (c1, c2) in enumerate(zip(by_layer1, by_layer2)):
-        if c1 != c2:
+    for d, (layer1, layer2) in enumerate(zip(g1.layers, g2.layers)):
+        if sorted(colors1[v] for v in layer1) != sorted(colors2[v] for v in layer2):
             return False, d
 
     if n > BACKTRACK_NODE_LIMIT:
@@ -391,12 +387,15 @@ def verify_semiring_identity(
     Both sides are built, then compared: syntactically equal presentations
     (same rule set, initial state, and alphabet) certify the identity
     outright; otherwise the two evolutions are compared for layered graph
-    isomorphism up to ``horizon``.  Distributivity and annihilation are
-    expected to fail.  The neutral sum element is not absorbing under the
-    product.  For distributivity the growth laws fix the gap: a sum counts
-    ``[1] + (b_d + c_d)`` and a product convolves, so with exact laws the
-    counts of ``s(p(m1, m2), p(m1, m3))`` minus those of ``p(m1, s(m2, m3))``
-    are m1's own counts from distance 1 on, and the graphs part at layer 1.
+    isomorphism up to ``horizon``: mode ``"isomorphism"``, also above
+    ``BACKTRACK_NODE_LIMIT`` nodes, where a holding verdict rests on colour
+    refinement alone (see :func:`layered_isomorphic`).  Distributivity and
+    annihilation are expected to fail.  The neutral sum element is not
+    absorbing under the product.  For distributivity the growth laws fix the
+    gap: a sum counts ``[1] + (b_d + c_d)`` and a product convolves, so with
+    exact laws the counts of ``s(p(m1, m2), p(m1, m3))`` minus those of
+    ``p(m1, s(m2, m3))`` are m1's own counts from distance 1 on, and the
+    graphs part at layer 1.
     """
     if identity not in _IDENTITY_ARITY:
         raise ValueError(f"unknown identity {identity!r}")

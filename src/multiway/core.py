@@ -377,6 +377,9 @@ def evolve(
         max_cells: same, for the total number of stored characters.  Both
             budgets are checked as each new string is found, so a layer
             that breaks one stops there instead of being built in full.
+            Budgets are hard bounds: one the initial string already
+            breaks (``max_states < 1`` or ``max_cells < len(init)``) is
+            rejected with ``ValueError``, as a negative horizon is.
         record_edges: when False, ``edges`` stays empty and no edge is
             built; states and layers are the same either way.
 
@@ -385,6 +388,10 @@ def evolve(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
+    if max_cells < len(system.init):
+        raise ValueError("max_cells must be at least the length of the initial string")
     plans = _rule_plans(system)
     states: list[str] = [system.init]
     index: dict[str, StateId] = {system.init: 0}

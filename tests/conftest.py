@@ -4,10 +4,15 @@ The reference expander below scans every position with startswith instead of
 str.find, keeps layers as plain sets, and knows nothing about budgets or
 edges.  Engine results are checked against it on small systems.  The
 rule-independence reference below compares graphs by layered isomorphism,
-the way ``check_rule_independence`` once did.
+the way ``check_rule_independence`` once did.  The refinement reference
+colours nodes with ``Counter`` signatures, the way ``layered_isomorphic``
+once did.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import permutations, product
 
 from multiway.algebra import layered_isomorphic
 from multiway.core import MultiwaySystem, StatesGraph, evolve
@@ -67,3 +72,80 @@ def reference_independence(m1, m2, horizon: int):
             )
             return "dependent", witness
     return "independent_up_to_horizon", None
+
+
+def reference_refinement(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | None]:
+    """``layered_isomorphic``'s verdict from colour refinement alone.
+
+    Colours start from the layer index; each round a node's signature is its
+    colour plus the sorted ``Counter`` items of its out- and in-neighbours'
+    colours (parallel edges collapsed), and signatures are numbered by first
+    appearance, g1's nodes before g2's.  Refinement stops once g1's colours
+    stop changing; the graphs then pass when every layer holds the same
+    colour histogram on both sides.
+    """
+    if len(g1.layers) != len(g2.layers):
+        raise ValueError("graphs must be evolved to the same horizon")
+    for d in range(len(g1.layers)):
+        if len(g1.layers[d]) != len(g2.layers[d]):
+            return False, d
+    n = len(g1.states)
+    if n != len(g2.states):
+        return False, None
+    if n == 0:
+        return True, None
+
+    def adjacency(graph):
+        fwd = [set() for _ in graph.states]
+        back = [set() for _ in graph.states]
+        for e in graph.edges:
+            fwd[e.src].add(e.dst)
+            back[e.dst].add(e.src)
+        return fwd, back
+
+    def refine(colors, fwd, back, table):
+        out = []
+        for v in range(len(colors)):
+            sig = (
+                colors[v],
+                tuple(sorted(Counter(colors[u] for u in fwd[v]).items())),
+                tuple(sorted(Counter(colors[u] for u in back[v]).items())),
+            )
+            out.append(table.setdefault(sig, len(table)))
+        return out
+
+    (fwd1, back1), (fwd2, back2) = adjacency(g1), adjacency(g2)
+    colors1, colors2 = list(g1.state_distances()), list(g2.state_distances())
+    for _ in range(n):
+        table: dict = {}
+        new1 = refine(colors1, fwd1, back1, table)
+        new2 = refine(colors2, fwd2, back2, table)
+        stable = len(set(new1)) == len(set(colors1)) and new1 == colors1
+        colors1, colors2 = new1, new2
+        if stable:
+            break
+    for d, (layer1, layer2) in enumerate(zip(g1.layers, g2.layers)):
+        if Counter(colors1[v] for v in layer1) != Counter(colors2[v] for v in layer2):
+            return False, d
+    return True, None
+
+
+def brute_force_isomorphic(g1: StatesGraph, g2: StatesGraph) -> bool:
+    """Try every within-layer bijection; simple directed edges must correspond.
+
+    Only for graphs whose layers are tiny: the cost is the product of the
+    layer sizes' factorials.
+    """
+    if [len(layer) for layer in g1.layers] != [len(layer) for layer in g2.layers]:
+        return False
+    edges1 = {(e.src, e.dst) for e in g1.edges}
+    edges2 = {(e.src, e.dst) for e in g2.edges}
+    if len(edges1) != len(edges2):
+        return False
+    for choice in product(*(permutations(layer) for layer in g2.layers)):
+        mapping = {}
+        for layer1, image in zip(g1.layers, choice):
+            mapping.update(zip(layer1, image))
+        if all((mapping[a], mapping[b]) in edges2 for a, b in edges1):
+            return True
+    return False

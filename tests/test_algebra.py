@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_independence
+from conftest import brute_force_isomorphic, reference_independence, reference_refinement
 
 from multiway import algebra
 from multiway.algebra import (
@@ -23,7 +24,7 @@ from multiway.algebra import (
     verify_semiring_identity,
     zero_system,
 )
-from multiway.core import Rule, evolve, make_system, render_glyphs
+from multiway.core import Rule, StatesGraph, evolve, make_system, render_glyphs
 
 # Fixed operands reused across tests: a shuffler whose B drifts while
 # spawning As, a growing two-letter system, and a short branching cascade.
@@ -255,6 +256,81 @@ def test_deep_search_does_not_touch_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     report = verify_semiring_identity("prod-comm", p, e, horizon=10)
     assert report.holds and report.mode == "isomorphism"
+
+
+_ab = st.sampled_from("AB")
+_ab_rules = st.lists(
+    st.tuples(st.text(alphabet=_ab, min_size=1, max_size=2), st.text(alphabet=_ab, max_size=3)),
+    min_size=1,
+    max_size=3,
+)
+_ab_init = st.text(alphabet=_ab, min_size=1, max_size=3)
+_SWAP_AB = str.maketrans("AB", "BA")
+
+
+def _variant(rules, init, kind, extra_rule, other_init):
+    """A relabelled copy (same graph up to isomorphism) or a perturbed one."""
+    if kind == "relabel":
+        return [(l.translate(_SWAP_AB), r.translate(_SWAP_AB)) for l, r in rules], init.translate(_SWAP_AB)
+    if kind == "reverse":
+        return rules[::-1], init
+    if kind == "drop":
+        return rules[1:] or [extra_rule], init
+    if kind == "add":
+        return rules + [extra_rule], init
+    return rules, other_init
+
+
+_pair = st.tuples(
+    _ab_rules,
+    _ab_init,
+    st.sampled_from(["relabel", "reverse", "drop", "add", "init"]),
+    st.tuples(st.text(alphabet=_ab, min_size=1, max_size=2), st.text(alphabet=_ab, max_size=3)),
+    _ab_init,
+    st.none() | st.tuples(st.integers(0, 999), st.integers(0, 999)),
+)
+
+
+def _rewired(graph, edge_pick, target_pick):
+    """The graph with one edge moved onto another target: layer sizes stay,
+    the structure usually does not."""
+    if not graph.edges:
+        return graph
+    edges = list(graph.edges)
+    i = edge_pick % len(edges)
+    edges[i] = edges[i]._replace(dst=target_pick % len(graph.states))
+    return StatesGraph(graph.system, graph.states, graph.layers, edges)
+
+
+def _graph_pair(pair, horizon, max_states):
+    rules, init, kind, extra_rule, other_init, rewire = pair
+    rules2, init2 = _variant(rules, init, kind, extra_rule, other_init)
+    g1 = evolve(make_system(rules, init, alphabet="AB"), horizon, max_states=max_states)
+    g2 = evolve(make_system(rules2, init2, alphabet="AB"), horizon, max_states=max_states)
+    assume(not g1.truncated and not g2.truncated)
+    return g1, g2 if rewire is None else _rewired(g2, *rewire)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pair, horizon=st.integers(2, 5))
+def test_refinement_matches_counter_reference(pair, horizon):
+    # with the exact search switched off, the verdict and witness are the
+    # refinement's alone, and must be the Counter-signature reference's
+    g1, g2 = _graph_pair(pair, horizon, 400)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "BACKTRACK_NODE_LIMIT", 0)
+        assert layered_isomorphic(g1, g2) == reference_refinement(g1, g2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pair, horizon=st.integers(2, 4))
+def test_verdict_matches_brute_force_over_layer_bijections(pair, horizon):
+    g1, g2 = _graph_pair(pair, horizon, 40)
+    assume(math.prod(math.factorial(len(layer)) for layer in g1.layers) <= 5_000)
+    exact = brute_force_isomorphic(g1, g2)
+    assert layered_isomorphic(g1, g2)[0] == exact
+    if exact:  # refinement never separates isomorphic graphs
+        assert reference_refinement(g1, g2) == (True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,24 @@ def test_budgets_stop_a_layer_while_it_is_built(budget, limit, unit):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize(
+    "budget, limit", [("max_states", 0), ("max_states", -1), ("max_cells", 2), ("max_cells", 0)]
+)
+def test_budget_the_initial_string_breaks_is_rejected(budget, limit):
+    # no rule matches the initial string, so no new string would ever
+    # reveal the breach: the budget itself must be refused
+    m = make_system([("B", "BB")], "AAA")
+    with pytest.raises(ValueError, match=budget):
+        evolve(m, 3, **{budget: limit})
+
+
+def test_budget_the_initial_string_just_fits_is_accepted():
+    m = make_system([("B", "BB")], "AAA")
+    g = evolve(m, 3, max_states=1, max_cells=3)
+    assert not g.truncated
+    assert growth_series(g).counts == [1, 0, 0, 0]
+
+
 def test_dead_frontier_pads_empty_layers():
     m = make_system([("A", "B"), ("B", "C")], "A")
     g = evolve(m, 6)
