@@ -85,9 +85,9 @@ def _check_operand(m: MultiwaySystem, seed: str) -> None:
                 raise ValueError(f"operand embeds {name} outside the sum shape")
 
 
-def second_layer(system: MultiwaySystem) -> set[str]:
-    """States at distance 1: what the seed of a sum must expand to."""
-    return set(evolve(system, 1).layer_strings(1))
+def second_layer(system: MultiwaySystem) -> list[str]:
+    """States at distance 1, in layer order: what the seed of a sum must expand to."""
+    return evolve(system, 1).layer_strings(1)
 
 
 def sum_systems(
@@ -96,15 +96,15 @@ def sum_systems(
     """Combine two systems so layer counts add (distances >= 1).
 
     The result starts from a reserved fresh symbol whose expansion rules
-    reproduce the distance-1 states of both operands; from there the two
-    evolutions run side by side without interacting.  When the operands are
-    not rule independent the construction still goes through but the
-    addition law is only a lower bound, which ``growth_law`` records.
+    reproduce the distance-1 states of m1 and then m2, in layer order; from
+    there the two evolutions run side by side without interacting.  When the
+    operands are not rule independent the construction still goes through
+    but the addition law is only a lower bound, which ``growth_law`` records.
     """
     seed = seed_symbol()
     _check_operand(m1, seed)
     _check_operand(m2, seed)
-    targets = sorted(second_layer(m1) | second_layer(m2))
+    targets = dict.fromkeys(second_layer(m1) + second_layer(m2))
     alphabet = Alphabet((seed,)).union(m1.alphabet).union(m2.alphabet)
     rules = m1.rules + m2.rules + tuple(Rule(seed, t) for t in targets)
     system = MultiwaySystem(alphabet, rules, seed)

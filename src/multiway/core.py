@@ -221,7 +221,9 @@ class StatesGraph:
     """Layered derivation graph produced by :func:`evolve`.
 
     ``layers[d]`` lists the ids of states first reached at distance ``d``
-    from the initial string; ``edges`` records every single-step rewrite
+    from the initial string, in the order breadth-first search finds them
+    (frontier state, rule index, match position), so ids and ``edges``
+    depend on the system alone.  ``edges`` records every single-step rewrite
     discovered from a frontier state, including rewrites that land on
     already-known states.
     """
@@ -363,8 +365,9 @@ def evolve(
     of one rule that give the same string, not once per match.  For a
     one-symbol lhs c with rhs in c*, a whole run of c is one group found in
     one step, so a run of L matches of ``A -> AA`` costs one step, not L;
-    other coinciding matches are still found one by one.  Only recorded
-    edges cost one step per match.
+    other coinciding matches are still found one by one.  Each group costs
+    one dict lookup, and no layer is sorted.  Only recorded edges cost one
+    step per match.
 
     Args:
         system: the rewriting system.
@@ -402,42 +405,31 @@ def evolve(
 
     frontier: list[StateId] = [0]
     for d in range(1, horizon + 1):
-        if not frontier:
-            layers.append([])
-            continue
-        fresh: dict[str, None] = {}
-        events: list[tuple[StateId, str, int, int]] = []
-        state_room = max_states - len(states)
-        cell_room = max_cells - cells
-        new_cells = 0
+        first, first_edge = len(states), len(edges)
+        layer: list[StateId] = []
         for u in frontier:
             for t, ri, positions in _rewrite_groups(plans, states[u]):
-                if t not in index and t not in fresh:
-                    fresh[t] = None
-                    new_cells += len(t)
-                    if len(fresh) > state_room:
+                v = index.get(t)
+                if v is None:
+                    v = index[t] = len(states)
+                    states.append(t)
+                    layer.append(v)
+                    cells += len(t)
+                    if len(states) > max_states:
                         reason = f"more than {max_states} states while building layer {d}"
                         break
-                    if new_cells > cell_room:
+                    if cells > max_cells:
                         reason = f"more than {max_cells} stored cells while building layer {d}"
                         break
                 if record_edges:
                     for pos in positions:
-                        events.append((u, t, ri, pos))
+                        edges.append(Edge(u, v, ri, pos))
             if reason is not None:
                 break
         if reason is not None:
+            del states[first:], edges[first_edge:]
             break
-        layer: list[StateId] = []
-        for t in sorted(fresh):
-            index[t] = len(states)
-            states.append(t)
-            layer.append(index[t])
-        cells += new_cells
         layers.append(layer)
-        if record_edges:
-            for u, t, ri, pos in events:
-                edges.append(Edge(u, index[t], ri, pos))
         frontier = layer
 
     if reason is not None:
@@ -523,7 +515,7 @@ def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSerie
 
 
 def export_dot(graph: StatesGraph, name: str = "multiway") -> str:
-    """Graphviz DOT text for a states graph, with stable node and edge order."""
+    """Graphviz DOT text: node ``n<i>`` is state id ``i``; nodes and edges in discovery order."""
 
     def quoted(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'

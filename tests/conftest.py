@@ -6,7 +6,8 @@ edges.  Engine results are checked against it on small systems.  The
 rule-independence reference below compares graphs by layered isomorphism,
 the way ``check_rule_independence`` once did.  The refinement reference
 colours nodes with ``Counter`` signatures, the way ``layered_isomorphic``
-once did.
+once did.  Systems over two token pools interned in opposite orders check
+that results do not depend on the interning table.
 """
 
 from __future__ import annotations
@@ -14,8 +15,35 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations, product
 
+from hypothesis import strategies as st
+
 from multiway.algebra import layered_isomorphic
-from multiway.core import MultiwaySystem, StatesGraph, evolve
+from multiway.core import MultiwaySystem, StatesGraph, evolve, intern_token, make_system
+
+# Two pools of token names, interned here in opposite orders: a system over
+# LOW_POOL renamed onto HIGH_POOL ranks its symbols the other way round by
+# codepoint, so any result ordered by codepoint tells the two apart.
+LOW_POOL = ("lo1", "lo2", "lo3", "lo4")
+HIGH_POOL = ("hi1", "hi2", "hi3", "hi4")
+for _name in LOW_POOL + HIGH_POOL[::-1]:
+    intern_token(_name)
+
+_pool_word = st.lists(st.integers(0, 3), max_size=3)
+pool_rules = st.lists(
+    st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=2), _pool_word),
+    min_size=1,
+    max_size=3,
+)
+pool_init = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+
+
+def pool_system(pool, rules, init) -> MultiwaySystem:
+    """The system whose symbol i is the token pool[i]; rules and init hold indices."""
+
+    def glyphs(word):
+        return "".join(f"[{pool[i]}]" for i in word)
+
+    return make_system([(glyphs(lhs), glyphs(rhs)) for lhs, rhs in rules], glyphs(init))
 
 
 def naive_successors(rules: list[tuple[str, str]], s: str) -> list[tuple[str, int, int]]:

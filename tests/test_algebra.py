@@ -7,7 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_isomorphic, reference_independence, reference_refinement
+from conftest import (
+    HIGH_POOL,
+    LOW_POOL,
+    brute_force_isomorphic,
+    pool_init,
+    pool_rules,
+    pool_system,
+    reference_independence,
+    reference_refinement,
+)
 
 from multiway import algebra
 from multiway.algebra import (
@@ -52,11 +61,11 @@ def convolved(a: list[int], b: list[int]) -> list[int]:
 
 
 def test_second_layer_of_doubling_system():
-    assert second_layer(make_system([("A", "AB")], "AA")) == {"ABA", "AAB"}
+    assert second_layer(make_system([("A", "AB")], "AA")) == ["ABA", "AAB"]
 
 
 def test_second_layer_of_ruleless_system():
-    assert second_layer(one_system()) == set()
+    assert second_layer(one_system()) == []
 
 
 def test_sum_adds_counts_from_distance_one():
@@ -83,8 +92,19 @@ def test_sum_matches_pointwise_oracle():
 def test_sum_seed_rules_target_both_second_layers():
     combo = sum_systems(SYS_AB, SYS_CD)
     seed = seed_symbol()
-    targets = {rhs for lhs, rhs in combo.system.rules if lhs == seed}
-    assert targets == second_layer(SYS_AB) | second_layer(SYS_CD)
+    targets = [rhs for lhs, rhs in combo.system.rules if lhs == seed]
+    assert targets == list(dict.fromkeys(second_layer(SYS_AB) + second_layer(SYS_CD)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules1=pool_rules, init1=pool_init, rules2=pool_rules, init2=pool_init)
+def test_sum_seed_rules_do_not_depend_on_interning_order(rules1, init1, rules2, init2):
+    def seed_targets(pool):
+        m1, m2 = pool_system(pool, rules1, init1), pool_system(pool, rules2, init2)
+        rules = sum_systems(m1, m2, independence_horizon=2).system.rules
+        return [render_glyphs(rhs) for lhs, rhs in rules if lhs == seed_symbol()]
+
+    assert seed_targets(HIGH_POOL) == [t.replace("[lo", "[hi") for t in seed_targets(LOW_POOL)]
 
 
 def test_product_counts_are_convolutions():

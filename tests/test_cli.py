@@ -18,6 +18,7 @@ from multiway.zoo import ZOO, polynomial
 
 FIG1 = "init: AA\nrule: A -> AB\n"
 EXP3 = "init: Q\nrule: Q -> Qa\nrule: Q -> Qb\nrule: Q -> Qc\n"
+TOKEN_RULES = "init: [dk]\nrule: [dk] -> [dk][dkx]\nrule: [dk] -> [dk][dkw]\n"
 INCREMENTER_MACHINE = """\
 states: 3 halting: {3}
 blank: 0
@@ -92,6 +93,18 @@ def test_simulate_dot_is_deterministic(write_file, tmp_path):
     assert a == (tmp_path / "b.dot").read_bytes()
     assert a.startswith(b"// multiway 0.1.0\n")
     assert b"digraph" in a
+
+    # A fresh process interns [dkx] before [dkw].  Here an unrelated system
+    # interns them the other way round before the token rule file's second run.
+    tokens = write_file(TOKEN_RULES, "tokens.rules")
+    args = ["simulate", tokens, "--horizon", "3", "--format", "dot"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "multiway", *args], env=env, check=True, capture_output=True
+    ).stdout
+    assert main(["simulate", write_file("init: [dkw]\nrule: [dkw] -> [dkx]\n", "other.rules")]) == 0
+    assert main(args + ["--out", str(tmp_path / "c.dot")]) == 0
+    assert (tmp_path / "c.dot").read_bytes() == fresh
 
 
 def test_classify_json_report(write_file, capsys):

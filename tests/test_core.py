@@ -1,9 +1,18 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import accumulate
 
 import pytest
-from conftest import naive_layers, naive_successors
+from conftest import (
+    HIGH_POOL,
+    LOW_POOL,
+    naive_layers,
+    naive_successors,
+    pool_init,
+    pool_rules,
+    pool_system,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +222,31 @@ def test_global_dedup_records_back_edges():
     assert Edge(src=1, dst=0, rule=1, pos=0) in g.edges
 
 
+def test_layer_order_is_discovery_order():
+    # rule 0 finds C before rule 1 finds B, whatever their codepoints
+    g = evolve(make_system([("A", "C"), ("A", "B")], "A"), 1)
+    assert g.layer_strings(1) == ["C", "B"]
+    assert export_dot(g) == (
+        "digraph multiway {\n"
+        '  n0 [label="A", layer=0];\n'
+        '  n1 [label="C", layer=1];\n'
+        '  n2 [label="B", layer=1];\n'
+        "  n0 -> n1 [rule=0, pos=0];\n"
+        "  n0 -> n2 [rule=1, pos=0];\n"
+        "}\n"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules=pool_rules, init=pool_init)
+def test_layer_order_does_not_depend_on_interning_order(rules, init):
+    low = evolve(pool_system(LOW_POOL, rules, init), 4, max_states=100_000)
+    high = evolve(pool_system(HIGH_POOL, rules, init), 4, max_states=100_000)
+    assert high.layers == low.layers
+    assert high.edges == low.edges
+    assert export_dot(high) == export_dot(low).replace("[lo", "[hi")
+
+
 def test_layer_ids_sorted_and_contiguous():
     m = make_system([("A", "BC"), ("A", "CB")], "AA")
     g = evolve(m, 2)
@@ -246,6 +280,28 @@ def test_truncation_on_cell_budget():
     assert g.truncated
     assert "cells" in (g.truncation_reason or "")
     assert g.horizon == 2
+
+
+@pytest.mark.parametrize(
+    "budget, size", [("max_states", lambda s: 1), ("max_cells", len)], ids=["states", "cells"]
+)
+def test_truncation_rolls_back_to_the_last_complete_layer(budget, size):
+    # layers of 1, 2, 3, 6, 8, 13, 21 and 34 states, with back edges; every
+    # limit from the initial string's size to the full graph's breaks a layer
+    m = make_system([("A", "AB"), ("B", "A"), ("BA", "")], "AB")
+    full = evolve(m, 7)
+    dist = full.state_distances()
+    totals = list(accumulate(sum(size(full.states[i]) for i in layer) for layer in full.layers))
+    for limit in range(totals[0], totals[-1]):
+        g = evolve(m, 7, **{budget: limit})
+        k = max(d for d in range(8) if totals[d] <= limit)
+        assert g.truncated
+        assert g.horizon == k
+        assert g.layers == full.layers[: k + 1]
+        n = sum(map(len, g.layers))
+        assert g.states == full.states[:n]
+        assert g.edges == [e for e in full.edges if dist[e.src] < k]
+        assert all(e.src < n and e.dst < n for e in g.edges)
 
 
 @pytest.mark.parametrize(
