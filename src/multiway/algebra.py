@@ -15,7 +15,8 @@ from .core import (
 )
 
 SEED_TOKEN = "@seed"
-BACKTRACK_NODE_LIMIT = 10_000
+# every size gets the exact search; only perfbench/tracing.py reads this name
+BACKTRACK_NODE_LIMIT = float("inf")
 
 
 def seed_symbol() -> str:
@@ -159,7 +160,8 @@ def check_rule_independence(
     layer, the set of states plus the (source, target) string pairs whose
     later endpoint lies in that layer; the first layer that differs is the
     witness.  This is exact at any size, but simulation can only ever
-    certify independence up to the horizon.
+    certify independence up to the horizon, and an evolution its budget
+    truncates raises ``ValueError``.
     """
     if horizon < 2:
         raise ValueError("independence horizon must be >= 2")
@@ -172,6 +174,7 @@ def check_rule_independence(
         ga, gm = evolve(own, horizon), evolve(merged, horizon)
         if len(ga.layers) != len(gm.layers):
             raise ValueError("graphs must be evolved to the same horizon")
+        _require_complete(ga, gm)
         for d, (a, m) in enumerate(zip(_layer_contents(ga), _layer_contents(gm))):
             if a != m:
                 return IndependenceVerdict("dependent", d)
@@ -237,36 +240,39 @@ def _simple_adjacency(graph: StatesGraph) -> tuple[list[set[int]], list[set[int]
     return fwd, back
 
 
+def _require_complete(*graphs: StatesGraph) -> None:
+    # a truncated graph lacks the edges its rolled-back layer found among the kept ones
+    for g in graphs:
+        if g.truncated:
+            raise ValueError(f"graph is truncated ({g.truncation_reason}); compare complete graphs")
+
+
 def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | None]:
     """Isomorphism of layered states graphs, as simple directed graphs.
 
     Parallel rewrites between the same pair of states collapse to one edge —
     the comparison is about which states lead to which.  Colors start from
     the layer index and are refined jointly by in/out neighborhood multisets
-    (1-dimensional Weisfeiler–Leman on sorted neighbour colours); graphs up
-    to ``BACKTRACK_NODE_LIMIT`` nodes then get an exact backtracking search
-    over the color classes.  Above it a ``True`` rests on refinement alone,
-    which some non-isomorphic graphs pass (Cai, Fürer & Immerman 1992); a
-    ``False`` is always exact.  Returns (verdict, witness) where witness is a
-    layer exhibiting a mismatch, when identifiable.
+    (1-dimensional Weisfeiler–Leman on sorted neighbour colours).  Every
+    ``True`` comes from an exact backtracking search that draws each node's
+    image from the successors of a mapped in-neighbour's image; it is
+    exponential in the worst case, on graphs that refinement cannot separate
+    (Cai, Fürer & Immerman 1992).  Returns (verdict, witness) where witness
+    is a layer exhibiting a mismatch, when identifiable.  Truncated graphs
+    raise ``ValueError``.
     """
     if len(g1.layers) != len(g2.layers):
         raise ValueError("graphs must be evolved to the same horizon")
+    _require_complete(g1, g2)
     for d in range(len(g1.layers)):
         if len(g1.layers[d]) != len(g2.layers[d]):
             return False, d
     n = len(g1.states)
-    if n != len(g2.states):  # unreachable given equal layers, kept as a guard
-        return False, None
-    if n == 0:
-        return True, None
 
     fwd1, back1 = _simple_adjacency(g1)
     fwd2, back2 = _simple_adjacency(g2)
-    dist1 = g1.state_distances()
-    dist2 = g2.state_distances()
-    colors1 = list(dist1)
-    colors2 = list(dist2)
+    dist1 = colors1 = g1.state_distances()
+    colors2 = g2.state_distances()
 
     def refine(colors, fwd, back, table):
         key = colors.__getitem__
@@ -288,13 +294,6 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
         if sorted(colors1[v] for v in layer1) != sorted(colors2[v] for v in layer2):
             return False, d
 
-    if n > BACKTRACK_NODE_LIMIT:
-        # refinement found no obstruction; exact search is out of budget
-        return True, None
-
-    candidates: dict[int, list[int]] = {}
-    for w in range(n):
-        candidates.setdefault(colors2[w], []).append(w)
     mapping = [-1] * n  # g1 node -> g2 node
     inverse = [-1] * n  # g2 node -> g1 node
 
@@ -314,9 +313,18 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
                 return False
         return True
 
-    order = sorted(range(n), key=lambda v: (dist1[v], len(candidates.get(colors1[v], ())), v))
+    def candidates(v: int):
+        # an edge u -> v must land on mapping[u] -> w: no solution is lost
+        pool = next((fwd2[mapping[u]] for u in back1[v] if mapping[u] != -1), g2.layers[dist1[v]])
+        c = colors1[v]
+        return (w for w in pool if colors2[w] == c)
+
+    # isolated nodes have a colour of their own, paired off by the histograms
+    order = [v for layer in g1.layers for v in layer if fwd1[v] or back1[v]]
+    if not order:
+        return True, None
     # depth-first search: level k of the stack tries the candidates for order[k]
-    stack = [iter(candidates.get(colors1[order[0]], ()))]
+    stack = [candidates(order[0])]
     while stack:
         v = order[len(stack) - 1]
         if mapping[v] != -1:  # back at this level: undo the choice that failed
@@ -328,9 +336,9 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
         else:
             stack.pop()
             continue
-        if len(stack) == n:
+        if len(stack) == len(order):
             return True, None
-        stack.append(iter(candidates.get(colors1[order[len(stack)]], ())))
+        stack.append(candidates(order[len(stack)]))
     return False, None
 
 
@@ -387,15 +395,14 @@ def verify_semiring_identity(
     Both sides are built, then compared: syntactically equal presentations
     (same rule set, initial state, and alphabet) certify the identity
     outright; otherwise the two evolutions are compared for layered graph
-    isomorphism up to ``horizon``: mode ``"isomorphism"``, also above
-    ``BACKTRACK_NODE_LIMIT`` nodes, where a holding verdict rests on colour
-    refinement alone (see :func:`layered_isomorphic`).  Distributivity and
-    annihilation are expected to fail.  The neutral sum element is not
-    absorbing under the product.  For distributivity the growth laws fix the
-    gap: a sum counts ``[1] + (b_d + c_d)`` and a product convolves, so with
-    exact laws the counts of ``s(p(m1, m2), p(m1, m3))`` minus those of
-    ``p(m1, s(m2, m3))`` are m1's own counts from distance 1 on, and the
-    graphs part at layer 1.
+    isomorphism up to ``horizon``: mode ``"isomorphism"``, exact at every
+    size and exponential in the worst case (see :func:`layered_isomorphic`).
+    Distributivity and annihilation are expected to fail.  The neutral sum
+    element is not absorbing under the product.  For distributivity the
+    growth laws fix the gap: a sum counts ``[1] + (b_d + c_d)`` and a product
+    convolves, so with exact laws the counts of ``s(p(m1, m2), p(m1, m3))``
+    minus those of ``p(m1, s(m2, m3))`` are m1's own counts from distance 1
+    on, and the graphs part at layer 1.
     """
     if identity not in _IDENTITY_ARITY:
         raise ValueError(f"unknown identity {identity!r}")

@@ -480,13 +480,13 @@ def _within_ceiling(count: int, base: int, exponent: int) -> bool:
     return count <= base**exponent
 
 
-def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSeries:
+def growth_series(graph: StatesGraph) -> GrowthSeries:
     """Counts and max string length per layer of an evolved graph.
 
     ``counts[0]`` is always 1 (the initial string).  Empty layers report
-    ``max_len`` 0.  With ``check_ceiling`` every layer is tested against the
-    combinatorial bound |alphabet| ** max_len; failures are recorded in the
-    series' ``ceiling_violations`` and logged, never raised.
+    ``max_len`` 0.  Every layer is tested against the combinatorial bound
+    |alphabet| ** max_len; failures are recorded in the series'
+    ``ceiling_violations`` and logged, never raised.
     """
     series = GrowthSeries([], [])
     base = len(graph.system.alphabet)
@@ -494,7 +494,7 @@ def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSerie
         series.counts.append(len(layer))
         longest = max((len(graph.states[i]) for i in layer), default=0)
         series.max_len.append(longest)
-        if check_ceiling and not _within_ceiling(len(layer), base, longest):
+        if not _within_ceiling(len(layer), base, longest):
             v = CeilingViolation(
                 init=render_glyphs(graph.system.init),
                 distance=d,
@@ -514,13 +514,13 @@ def growth_series(graph: StatesGraph, check_ceiling: bool = True) -> GrowthSerie
 # Export
 
 
-def export_dot(graph: StatesGraph, name: str = "multiway") -> str:
+def export_dot(graph: StatesGraph) -> str:
     """Graphviz DOT text: node ``n<i>`` is state id ``i``; nodes and edges in discovery order."""
 
     def quoted(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph multiway {"]
     for d, layer in enumerate(graph.layers):
         for sid in layer:
             label = quoted(render_glyphs(graph.states[sid]))

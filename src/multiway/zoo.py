@@ -64,15 +64,6 @@ def exponential(branching: int = 3) -> MultiwaySystem:
     return make_system(rules, "Q", alphabet="Q" + letters)
 
 
-def _traversal_count(d: int) -> int:
-    """How many shuttle traversals complete within d layers (see intermediate)."""
-    j, total = 0, 1
-    while total <= d:
-        j += 1
-        total += j
-    return j
-
-
 def intermediate(branching: int = 3) -> MultiwaySystem:
     """Growth between every polynomial and every exponential.
 

@@ -80,8 +80,9 @@ def reference_independence(m1, m2, horizon: int):
 
     Each operand's graph is compared with its merged-rules variant's, whole
     and then prefix by prefix, so the witness is the first depth at which
-    the prefixes stop being isomorphic.  Exact only while the graphs stay
-    under ``BACKTRACK_NODE_LIMIT`` nodes.
+    the prefixes stop being isomorphic.  Exact at any size, as
+    ``layered_isomorphic`` is, but slow where colour refinement cannot
+    separate the graphs' nodes.
     """
     def prefix(graph, depth):
         keep = sum(len(layer) for layer in graph.layers[: depth + 1])  # ids are layer-contiguous

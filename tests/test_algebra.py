@@ -18,10 +18,10 @@ from conftest import (
     reference_refinement,
 )
 
-from multiway import algebra
+from multiway import algebra, zoo
 from multiway.algebra import (
-    BACKTRACK_NODE_LIMIT,
     SEMIRING_IDENTITIES,
+    IndependenceVerdict,
     check_rule_independence,
     layered_isomorphic,
     one_system,
@@ -33,7 +33,7 @@ from multiway.algebra import (
     verify_semiring_identity,
     zero_system,
 )
-from multiway.core import Rule, StatesGraph, evolve, make_system, render_glyphs
+from multiway.core import Edge, Rule, StatesGraph, evolve, make_system, render_glyphs
 
 # Fixed operands reused across tests: a shuffler whose B drifts while
 # spawning As, a growing two-letter system, and a short branching cascade.
@@ -235,6 +235,28 @@ def test_independence_requires_matching_horizons(monkeypatch):
         check_rule_independence(m1, m2, horizon=4)
 
 
+# Q -> Qa | Qb, and the same plus a -> b, which adds the edge Qa -> Qb inside
+# layer 1.  Under a budget of 3 states both evolutions stop before layer 2,
+# and the rollback of that layer drops the edge with it.
+FORK = make_system([("Q", "Qa"), ("Q", "Qb")], "Q")
+FORK_AB = make_system([("Q", "Qa"), ("Q", "Qb"), ("a", "b")], "Q")
+
+
+def test_isomorphism_rejects_truncated_graphs():
+    assert layered_isomorphic(evolve(FORK, 4), evolve(FORK_AB, 4)) == (False, 1)
+    g1, g2 = evolve(FORK, 4, max_states=3), evolve(FORK_AB, 4, max_states=3)
+    with pytest.raises(ValueError, match="truncated.*more than 3 states"):
+        layered_isomorphic(g1, g2)
+
+
+def test_independence_rejects_truncated_graphs(monkeypatch):
+    a_to_b = make_system([("a", "b")], "a")
+    assert check_rule_independence(FORK, a_to_b, horizon=4) == IndependenceVerdict("dependent", 1)
+    monkeypatch.setattr(algebra, "evolve", lambda system, horizon: evolve(system, horizon, max_states=3))
+    with pytest.raises(ValueError, match="truncated.*more than 3 states"):
+        check_rule_independence(FORK, a_to_b, horizon=4)
+
+
 # ---------------------------------------------------------------------------
 # Layered graph isomorphism
 
@@ -272,10 +294,35 @@ def test_deep_search_does_not_touch_the_recursion_limit(monkeypatch):
     p = make_system([("A", "AB")], "AA")
     e = make_system([("Q", "Qx"), ("Q", "Qy")], "Q")
     states = len(evolve(product_systems(p, e).system, 10).states)
-    assert sys.getrecursionlimit() < states <= BACKTRACK_NODE_LIMIT
+    assert sys.getrecursionlimit() < states
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     report = verify_semiring_identity("prod-comm", p, e, horizon=10)
     assert report.holds and report.mode == "isomorphism"
+
+
+def _cycle_and_hub(cycle):
+    """A root over seven nodes: six joined by ``cycle``, and a hub with 10,000 leaves."""
+    leaves = range(8, 10_008)
+    edges = [Edge(0, v, 0, 0) for v in range(1, 8)]
+    edges += [Edge(u, v, 0, 0) for u, v in cycle]
+    edges += [Edge(7, v, 0, 0) for v in leaves]
+    return StatesGraph(SHUTTLE, [str(i) for i in range(10_008)], [[0], list(range(1, 8)), list(leaves)], edges)
+
+
+def test_search_is_exact_past_ten_thousand_nodes():
+    # colour refinement cannot tell a 6-cycle from two 3-cycles; only the
+    # exact search can, at this size as at any other
+    six = _cycle_and_hub([(i, i % 6 + 1) for i in range(1, 7)])
+    two_threes = _cycle_and_hub([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+    assert reference_refinement(six, two_threes) == (True, None)
+    assert layered_isomorphic(six, two_threes) == (False, None)
+
+
+def test_isolated_nodes_pair_off_without_search():
+    # without edges every state is isolated: 88,573 of them at horizon 10
+    g1 = evolve(zoo.exponential(3), 10, record_edges=False)
+    g2 = evolve(zoo.exponential(3), 10, record_edges=False)
+    assert layered_isomorphic(g1, g2) == (True, None)
 
 
 _ab = st.sampled_from("AB")
@@ -331,22 +378,32 @@ def _graph_pair(pair, horizon, max_states):
     return g1, g2 if rewire is None else _rewired(g2, *rewire)
 
 
+def _bijections(graph) -> int:
+    return math.prod(math.factorial(len(layer)) for layer in graph.layers)
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=_pair, horizon=st.integers(2, 5))
 def test_refinement_matches_counter_reference(pair, horizon):
-    # with the exact search switched off, the verdict and witness are the
-    # refinement's alone, and must be the Counter-signature reference's
+    # a refutation by refinement carries the Counter-signature reference's
+    # witness layer; past refinement, the exact search decides with no
+    # witness, and agrees with the brute force where that is affordable
     g1, g2 = _graph_pair(pair, horizon, 400)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "BACKTRACK_NODE_LIMIT", 0)
-        assert layered_isomorphic(g1, g2) == reference_refinement(g1, g2)
+    passed, layer = reference_refinement(g1, g2)
+    ok, witness = layered_isomorphic(g1, g2)
+    if not passed:
+        assert (ok, witness) == (False, layer)
+    else:
+        assert witness is None
+        if _bijections(g1) <= 5_000:
+            assert ok == brute_force_isomorphic(g1, g2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(pair=_pair, horizon=st.integers(2, 4))
 def test_verdict_matches_brute_force_over_layer_bijections(pair, horizon):
     g1, g2 = _graph_pair(pair, horizon, 40)
-    assume(math.prod(math.factorial(len(layer)) for layer in g1.layers) <= 5_000)
+    assume(_bijections(g1) <= 5_000)
     exact = brute_force_isomorphic(g1, g2)
     assert layered_isomorphic(g1, g2)[0] == exact
     if exact:  # refinement never separates isomorphic graphs

@@ -10,11 +10,20 @@ from multiway import zoo
 from multiway.analysis import classify
 from multiway.core import MultiwaySystem, evolve, growth_series
 from multiway.tm import build_binary_counter, enchain
-from multiway.zoo import ZOO, _traversal_count
+from multiway.zoo import ZOO
 
 
 def layer_counts(system: MultiwaySystem, horizon: int) -> list[int]:
     return [len(layer) for layer in evolve(system, horizon).layers]
+
+
+def _traversal_count(d: int) -> int:
+    """How many shuttle traversals complete within d layers (see zoo.intermediate)."""
+    j, total = 0, 1
+    while total <= d:
+        j += 1
+        total += j
+    return j
 
 
 def test_chain_counts():
@@ -101,7 +110,7 @@ def test_composite_spikes_and_troughs():
 def test_composite_classifies_oscillating():
     entry = ZOO["oscillating_composite"]
     graph = evolve(entry.build(), entry.classify_horizon, record_edges=False)
-    report = classify(growth_series(graph, check_ceiling=False))
+    report = classify(growth_series(graph))
     assert report.regular == "oscillating"
     assert report.upper_class.kind == "Pol"
     assert report.upper_class.parameter == pytest.approx(2.0, abs=0.3)
@@ -125,7 +134,7 @@ CHEAP_VERDICTS = [
 def test_classifier_verdicts(name, kind, parameter, tol):
     entry = ZOO[name]
     graph = evolve(entry.build(), entry.classify_horizon)
-    report = classify(growth_series(graph, check_ceiling=False))
+    report = classify(growth_series(graph))
     assert report.upper_class.kind == kind
     assert report.lower_class.kind == kind
     assert report.regular == "regular"
