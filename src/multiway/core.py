@@ -127,12 +127,6 @@ class Alphabet:
     def glyphs(self) -> tuple[str, ...]:
         return tuple(render_glyphs(s) for s in self.symbols)
 
-    def encode(self, text: str) -> str:
-        """Parse glyph text and check every symbol belongs to this alphabet."""
-        encoded = parse_glyphs(text)
-        self.check(encoded)
-        return encoded
-
     def check(self, encoded: str) -> None:
         symset = set(self.symbols)
         for c in encoded:
@@ -252,35 +246,64 @@ class StatesGraph:
 
 
 _RulePlan = tuple[str, str, int, re.Pattern[str] | None]
-_Plans = tuple[list[_RulePlan], list[tuple[str, tuple[int, ...]]]]
+_GuardGroup = tuple[str, list[tuple[str, tuple[int, ...]]]]
+_Plans = tuple[list[_RulePlan], list[_GuardGroup]]
 
 
 def _rule_plans(system: MultiwaySystem) -> _Plans:
-    """Rule plans and the rule indices of each distinct lhs, computed once per evolution.
+    """Rule plans and the distinct lhs grouped under guard symbols, computed once per evolution.
 
     A plan is ``(lhs, rhs, len(lhs), run)`` per rule, where ``run`` matches a
     run of c when lhs is one symbol c and rhs is in c*, and is None
-    otherwise.  The distinct left-hand sides come in first-appearance order,
-    each with the ascending indices of the rules that share it, so one
-    containment test per distinct lhs tells which rules can match a state.
+    otherwise.  Each distinct lhs carries the ascending indices of the rules
+    that share it, and sits in one group ``(guard, [(lhs, indices), ...])``.
+    An lhs occurs only where each of its symbols does, so a state that lacks
+    a group's guard lacks all of its members.
+
+    The guards are a greedy set cover fixed by the system alone: repeatedly
+    take the symbol found in the most distinct lhs not yet covered, ties
+    going to the symbol with the fewest occurrences in the initial string
+    plus all right-hand sides (the likeliest to be absent), then to first
+    appearance in the lhs.  The cover stops when no symbol is shared by two
+    uncovered lhs; each lhs left over is its own guard.
     """
     plans: list[_RulePlan] = []
-    by_lhs: dict[str, list[int]] = {}
+    by_lhs: dict[str, tuple[int, ...]] = {}
     for ri, (lhs, rhs) in enumerate(system.rules):
         run = None
         if len(lhs) == 1 and rhs == lhs * len(rhs):
             run = re.compile(re.escape(lhs) + "+")
         plans.append((lhs, rhs, len(lhs), run))
-        by_lhs.setdefault(lhs, []).append(ri)
-    return plans, [(lhs, tuple(ris)) for lhs, ris in by_lhs.items()]
+        by_lhs[lhs] = by_lhs.get(lhs, ()) + (ri,)
+    produced = system.init + "".join(rhs for _, rhs in system.rules)
+    rank = {c: (produced.count(c), i) for i, c in enumerate(dict.fromkeys("".join(by_lhs)))}
+    guards: list[_GuardGroup] = []
+    uncovered = list(by_lhs)
+    while uncovered:
+        holders: dict[str, list[str]] = {}
+        for lhs in uncovered:
+            for c in dict.fromkeys(lhs):
+                holders.setdefault(c, []).append(lhs)
+        g = min(holders, key=lambda c: (-len(holders[c]), rank[c]))
+        if len(holders[g]) < 2:
+            break
+        # a member equal to its guard is the guard itself, so it costs no second test
+        g = next((lhs for lhs in holders[g] if lhs == g), g)
+        guards.append((g, [(lhs, by_lhs[lhs]) for lhs in holders[g]]))
+        uncovered = [lhs for lhs in uncovered if g not in lhs]
+    guards += [(lhs, [(lhs, by_lhs[lhs])]) for lhs in uncovered]
+    return plans, guards
 
 
 def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[int]]]:
     """Single-step rewrites of ``state`` as (result, rule index, positions).
 
-    One ``in`` test per distinct lhs selects the rules that match at all;
-    only those are searched for positions, so a rule whose lhs is absent
-    costs its share of one containment test and no method call.
+    One ``in`` test per guard group (a symbol shared by several lhs, or a
+    lone lhs), then one per member lhs only under a guard that is present,
+    select the rules that match at all; only those are searched for
+    positions.  So a group whose guard is absent costs one one-symbol
+    containment test for all its lhs, and a rule whose lhs is absent costs
+    no method call.
 
     Groups come in rule index order, then by position, and consecutive
     matches of one rule that rewrite to the same string form one group whose
@@ -291,12 +314,14 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
     string, so the whole run is one group, taken in one step without visiting
     its positions; the identity c -> c rewrites every run to ``state`` itself.
     """
-    rules, by_lhs = plans
-    # a loop, not a comprehension: Python 3.11 makes a frame per comprehension
+    rules, guards = plans
+    # loops, not comprehensions: Python 3.11 makes a frame per comprehension
     hits: list[tuple[int, ...]] = []
-    for lhs, ris in by_lhs:
-        if lhs in state:
-            hits.append(ris)
+    for g, members in guards:
+        if g in state:
+            for lhs, ris in members:
+                if lhs is g or lhs in state:
+                    hits.append(ris)
     if not hits:
         return []
     groups: list[tuple[str, int, Sequence[int]]] = []
@@ -335,6 +360,10 @@ def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]
     once.  A run of a one-symbol lhs c with rhs in c* (``A -> AA`` on
     ``A...A``) is taken in one step; the returned list still holds one
     triple per match.
+
+    Rules are selected as in :func:`evolve` (one test per guard group, then
+    lhs tests only under a present guard), but the guard groups are rebuilt
+    on every call; ``evolve`` builds them once.
     """
     return [
         (result, ri, pos)
@@ -358,9 +387,12 @@ def evolve(
     still recorded as edges).  Once the frontier dies out, the remaining
     layers up to ``horizon`` are present but empty.
 
-    Cost per frontier state: one containment test per distinct left-hand
-    side, then a position scan only for the rules whose lhs occurs, so rules
-    whose lhs is absent from the state cost next to nothing.  A rewrite
+    Cost per frontier state: one containment test per guard group of
+    left-hand sides (a symbol shared by several lhs, or a lone lhs; see
+    ``_rule_plans``), one per lhs only under a guard that is present, then a
+    position scan only for the rules whose lhs occurs.  So a group whose
+    guard is absent from the state costs one one-symbol test however many
+    lhs it holds.  A rewrite
     result is built and deduplicated once per group of consecutive matches
     of one rule that give the same string, not once per match.  For a
     one-symbol lhs c with rhs in c*, a whole run of c is one group found in

@@ -52,7 +52,7 @@ def test_alphabet_inferred_in_first_appearance_order():
     m = make_system([("B", "CA")], "AB")
     assert m.alphabet.glyphs == ("A", "B", "C")
     with pytest.raises(GlyphError):
-        m.alphabet.encode("AD")
+        m.alphabet.check(parse_glyphs("AD"))
 
 
 def test_explicit_alphabet_rejects_foreign_symbols():
@@ -120,8 +120,20 @@ SHARED_LHS = [
     ([("AB", "C"), ("C", "AB"), ("AB", "")], "ABAB"),
 ]
 
+# Left-hand sides grouped under guard symbols, over four or more symbols:
+# several lhs share a guard, states that lack it (A is rewritten away, or
+# never there), a member equal to its guard (A among AB and BA), a guard
+# present with none of its members, and one lhs shared by non-adjacent rules.
+GUARDED = [
+    ([("AB", "BA"), ("BA", "C"), ("A", "D"), ("CD", "A")], "ABCD"),
+    ([("AC", "B"), ("CA", "D"), ("BD", "A"), ("DB", ""), ("C", "CC")], "ACADBDCA"),
+    ([("[g]A", "B"), ("B[g]", "A"), ("[g]", "C"), ("CD", "[g]D")], "A[g]BCD"),
+    ([("AB", "C"), ("BA", "D"), ("CD", "AB")], "AACDBB"),
+    ([("AB", "BA"), ("CD", "DC"), ("AB", ""), ("A", "B"), ("DA", "C"), ("BAD", "E")], "ABADCD"),
+]
 
-@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS)
+
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS + GUARDED)
 def test_successors_match_per_position_construction(rules, init):
     m = make_system(rules, init)
     for s in evolve(m, 3).states:
@@ -141,7 +153,7 @@ def _naive_edge_multiset(rules, layers):
     )
 
 
-@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS)
+@pytest.mark.parametrize("rules, init", COINCIDING + RUNS + SHARED_LHS + GUARDED)
 def test_evolve_matches_naive_reference_on_coinciding_matches(rules, init):
     m = make_system(rules, init)
     rules = list(m.rules)
@@ -186,6 +198,31 @@ def test_absent_lhs_is_never_searched():
     groups = core._rewrite_groups(core._rule_plans(m), state)
     assert [(t, ri, list(ps)) for t, ri, ps in groups] == [("ABAB", 25, [0]), ("AABB", 25, [1])]
     assert RecordingState.needles and set(RecordingState.needles) == {"A"}
+
+
+def test_absent_guard_skips_its_lhs():
+    # structural, not timed: on log_system's rules, a state holding a tally
+    # run but no head is answered by one one-symbol test per guard group, and
+    # no lhs containing the head symbol H is tested once H is found absent
+    class RecordingState(str):
+        needles: list[str] = []
+
+        def __contains__(self, sub):
+            self.needles.append(sub)
+            return super().__contains__(sub)
+
+    m = zoo.log_system()
+    plans = core._rule_plans(m)
+    for g, members in plans[1]:
+        assert all(g in lhs for lhs, _ in members)
+    tally = parse_glyphs("[tally]")
+    state = RecordingState(parse_glyphs("_0_0_") + tally * 200 + parse_glyphs("11111_0_0"))
+    groups = core._rewrite_groups(plans, state)
+    doubling = m.rules.index((tally, tally * 2))
+    assert [(ri, positions) for _, ri, positions in groups] == [(doubling, range(5, 205))]
+    needles = RecordingState.needles
+    assert needles == [g for g, _ in plans[1]] and len(needles) <= 4
+    assert "H" in needles and not any("H" in n for n in needles if n != "H")
 
 
 # Hand-derived evolution of ({A->BC, B->C, C->B}, "A"):
@@ -436,6 +473,35 @@ _rules_with_runs = st.lists(
 def test_successors_agree_with_naive_reference(rules, init):
     m = make_system(rules, init, alphabet="AB")
     assert successors(m, init) == naive_successors(list(m.rules), init)
+
+
+# four symbols and lhs of one to three: a short state often lacks a guard,
+# which two symbols almost never do, so groups are skipped as well as searched
+_sym4 = st.sampled_from("ABCD")
+_rules4 = st.lists(
+    st.tuples(
+        st.text(alphabet=_sym4, min_size=1, max_size=3),
+        st.text(alphabet=_sym4, min_size=0, max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_init4 = st.text(alphabet=_sym4, min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules=_rules4, init=_init4)
+def test_guarded_selection_agrees_with_naive_reference(rules, init):
+    m = make_system(rules, init, alphabet="ABCD")
+    rules = list(m.rules)
+    assert successors(m, init) == naive_successors(rules, init)
+    expected = naive_layers(rules, init, 3)
+    with_edges = evolve(m, 3, max_states=100_000)
+    without = evolve(m, 3, max_states=100_000, record_edges=False)
+    for g in (with_edges, without):
+        assert [set(g.layer_strings(d)) for d in range(4)] == expected
+    assert without.states == with_edges.states
+    assert _edge_multiset(with_edges) == _naive_edge_multiset(rules, expected)
 
 
 @settings(max_examples=120, deadline=None)
