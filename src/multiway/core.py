@@ -392,9 +392,9 @@ def evolve(
     ``_rule_plans``), one per lhs only under a guard that is present, then a
     position scan only for the rules whose lhs occurs.  So a group whose
     guard is absent from the state costs one one-symbol test however many
-    lhs it holds.  A rewrite
-    result is built and deduplicated once per group of consecutive matches
-    of one rule that give the same string, not once per match.  For a
+    lhs it holds.  A rewrite result is built and deduplicated once per group
+    of consecutive matches of one rule that give the same string, not once
+    per match.  For a
     one-symbol lhs c with rhs in c*, a whole run of c is one group found in
     one step, so a run of L matches of ``A -> AA`` costs one step, not L;
     other coinciding matches are still found one by one.  Each group costs
