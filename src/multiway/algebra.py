@@ -370,17 +370,43 @@ _IDENTITY_ARITY = {
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Verdict for one algebraic identity, checked up to a finite horizon."""
+    """Verdict for one algebraic identity, checked up to a finite horizon.
+
+    ``proof`` says how an ``"isomorphism"`` verdict was reached: ``"map"``
+    when a proposed state map passed its check, ``"search"`` when
+    :func:`layered_isomorphic` decided.  It is None for signature verdicts.
+    """
 
     identity: str
     holds: bool
     mode: str  # "signature" | "isomorphism"
     horizon: int
     counterexample_layer: int | None = None
+    proof: str | None = None  # "map" | "search" when mode is "isomorphism"
 
 
 def _signature(m: MultiwaySystem):
     return frozenset(m.rules), m.init, frozenset(m.alphabet.symbols)
+
+
+def _map_is_isomorphism(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> bool:
+    """Does state v of g1 -> state ``images[v]`` of g2 carry g1 onto g2?
+
+    True only when the layers have the same sizes, every image is a state of
+    g2 in its preimage's layer, no two states share an image, and the map
+    sends the simple edge set of g1 onto that of g2 (parallel rewrites
+    collapse, as in :func:`layered_isomorphic`).  O(V + E).
+    """
+    if [len(layer) for layer in g1.layers] != [len(layer) for layer in g2.layers]:
+        return False
+    index = {s: i for i, s in enumerate(g2.states)}
+    phi = [index.get(s, -1) for s in images]
+    dist2 = g2.state_distances()
+    if any(w == -1 or dist2[w] != d for w, d in zip(phi, g1.state_distances())):
+        return False
+    if len(set(phi)) != len(phi):
+        return False
+    return {(phi[e.src], phi[e.dst]) for e in g1.edges} == {(e.src, e.dst) for e in g2.edges}
 
 
 def verify_semiring_identity(
@@ -395,8 +421,17 @@ def verify_semiring_identity(
     Both sides are built, then compared: syntactically equal presentations
     (same rule set, initial state, and alphabet) certify the identity
     outright; otherwise the two evolutions are compared for layered graph
-    isomorphism up to ``horizon``: mode ``"isomorphism"``, exact at every
-    size and exponential in the worst case (see :func:`layered_isomorphic`).
+    isomorphism up to ``horizon``: mode ``"isomorphism"``.  For
+    ``prod-comm`` on operands with disjoint alphabets the construction names
+    the isomorphism: a state ``x + y`` of ``p(m1, m2)``, with ``x`` its
+    longest prefix over m1's symbols, goes to ``y + x``.  That map is
+    checked in O(V + E) (a per-layer bijection of states carrying the simple
+    edge set onto the simple edge set) and, when it passes, is the proof
+    (``proof="map"``).  Shared alphabets give no unambiguous split point,
+    and a map that fails its check proves nothing; both go to
+    :func:`layered_isomorphic` on the same two evolutions
+    (``proof="search"``), exact at every size and exponential in the worst
+    case.  Truncated evolutions raise ``ValueError`` on either path.
     Distributivity and annihilation are expected to fail.  The neutral sum
     element is not absorbing under the product.  For distributivity the
     growth laws fix the gap: a sum counts ``[1] + (b_d + c_d)`` and a product
@@ -437,5 +472,13 @@ def verify_semiring_identity(
 
     if _signature(lhs) == _signature(rhs):
         return IdentityReport(identity, True, "signature", horizon)
-    ok, witness = layered_isomorphic(evolve(lhs, horizon), evolve(rhs, horizon))
-    return IdentityReport(identity, ok, "isomorphism", horizon, witness)
+    g1, g2 = evolve(lhs, horizon), evolve(rhs, horizon)
+    if identity == "prod-comm" and m1.alphabet.isdisjoint(m2.alphabet):
+        _require_complete(g1, g2)
+        cut = "".join(m1.alphabet)
+        tails = [s.lstrip(cut) for s in g1.states]
+        swapped = [y + s[: len(s) - len(y)] for s, y in zip(g1.states, tails)]
+        if _map_is_isomorphism(g1, g2, swapped):
+            return IdentityReport(identity, True, "isomorphism", horizon, proof="map")
+    ok, witness = layered_isomorphic(g1, g2)
+    return IdentityReport(identity, ok, "isomorphism", horizon, witness, proof="search")

@@ -285,19 +285,22 @@ def test_empty_tail_graphs_are_isomorphic():
     assert layered_isomorphic(g, evolve(one_system(), 3)) == (True, None)
 
 
+# P and E of the algebra benchmark: P x E at horizon 10 has 8,100 states.
+SYS_P = make_system([("A", "AB")], "AA")
+SYS_E = make_system([("Q", "Qx"), ("Q", "Qy")], "Q")
+
+
 def test_deep_search_does_not_touch_the_recursion_limit(monkeypatch):
     # P x E at horizon 10: the exact search goes one level deep per state,
     # far past the default recursion limit
     def refuse(limit):
         raise AssertionError("the search must not need a higher recursion limit")
 
-    p = make_system([("A", "AB")], "AA")
-    e = make_system([("Q", "Qx"), ("Q", "Qy")], "Q")
-    states = len(evolve(product_systems(p, e).system, 10).states)
-    assert sys.getrecursionlimit() < states
+    g1 = evolve(product_systems(SYS_P, SYS_E).system, 10)
+    g2 = evolve(product_systems(SYS_E, SYS_P).system, 10)
+    assert sys.getrecursionlimit() < len(g1.states)
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    report = verify_semiring_identity("prod-comm", p, e, horizon=10)
-    assert report.holds and report.mode == "isomorphism"
+    assert layered_isomorphic(g1, g2) == (True, None)
 
 
 def _cycle_and_hub(cycle):
@@ -603,6 +606,115 @@ def test_sum_neutral_element_up_to_isomorphism():
 def test_product_commutes_up_to_isomorphism():
     report = verify_semiring_identity("prod-comm", SHUTTLE, SYS_BRANCH)
     assert report.holds and report.mode == "isomorphism"
+    assert report.proof == "map"
+
+
+def _swapped(states, m1):
+    cut = "".join(m1.alphabet)
+    return [s.lstrip(cut) + s[: len(s) - len(s.lstrip(cut))] for s in states]
+
+
+def test_swap_map_checker_rejects_the_identity_map():
+    g1 = evolve(product_systems(SYS_P, SYS_E).system, 10)
+    g2 = evolve(product_systems(SYS_E, SYS_P).system, 10)
+    assert len(g1.states) == 8_100
+    assert algebra._map_is_isomorphism(g1, g2, _swapped(g1.states, SYS_P))
+    assert not algebra._map_is_isomorphism(g1, g2, list(g1.states))
+
+
+def _hand_graph(states, layers, edges):
+    return StatesGraph(SHUTTLE, list(states), layers, [Edge(u, v, 0, 0) for u, v in edges])
+
+
+# Each case breaks exactly one condition of the check; images are state strings, as the swap gives.
+_WRONG_MAPS = {
+    # a per-layer bijection carrying every edge but one
+    "one edge differs": (
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1), (0, 2), (1, 2)]),
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1), (0, 2), (2, 1)]),
+        "rab",
+    ),
+    # a rotation of a 3-cycle carries the edge set onto itself but not the layers
+    "layer moves": (
+        _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2), (2, 0)]),
+        _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2), (2, 0)]),
+        "bca",
+    ),
+    # into g2, not onto it
+    "layer sizes differ": (
+        _hand_graph("ra", [[0], [1]], [(0, 1)]),
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
+        "ra",
+    ),
+    "two states share an image": (
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
+        "raa",
+    ),
+    "image is not a state": (
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
+        "rac",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_MAPS))
+def test_swap_map_checker_rejects_wrong_maps(case):
+    g1, g2, images = _WRONG_MAPS[case]
+    assert algebra._map_is_isomorphism(g2, g2, list(g2.states))
+    assert not algebra._map_is_isomorphism(g1, g2, list(images))
+
+
+def test_failed_map_falls_back_to_the_search_on_the_same_graphs(monkeypatch):
+    calls = []
+
+    def counted(system, horizon):
+        calls.append(system)
+        return evolve(system, horizon)
+
+    monkeypatch.setattr(algebra, "evolve", counted)
+    monkeypatch.setattr(algebra, "_map_is_isomorphism", lambda g1, g2, images: False)
+    report = verify_semiring_identity("prod-comm", SHUTTLE, SYS_BRANCH)
+    assert (report.holds, report.mode, report.proof) == (True, "isomorphism", "search")
+    assert len(calls) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rules1=pool_rules,
+    init1=pool_init,
+    rules2=pool_rules,
+    init2=pool_init,
+    shared=st.booleans(),
+    horizon=st.integers(1, 3),
+)
+def test_prod_comm_agrees_with_the_search_and_brute_force(rules1, init1, rules2, init2, shared, horizon):
+    # disjoint pools are proven by the swap map; a shared pool has no split
+    # point and goes to the search
+    a = pool_system(LOW_POOL, rules1, init1)
+    b = pool_system(LOW_POOL if shared else HIGH_POOL, rules2, init2)
+    g1 = evolve(product_systems(a, b).system, horizon, max_states=300)
+    g2 = evolve(product_systems(b, a).system, horizon, max_states=300)
+    assume(not g1.truncated and not g2.truncated)
+    report = verify_semiring_identity("prod-comm", a, b, horizon=horizon)
+    if report.mode == "signature":  # equal presentations, as when a == b
+        assert report.holds and report.proof is None
+        return
+    assert report.mode == "isomorphism"
+    if not a.alphabet.isdisjoint(b.alphabet):
+        assert report.proof == "search"
+        assert (report.holds, report.counterexample_layer) == layered_isomorphic(g1, g2)
+        return
+    if _bijections(g1) <= 5_000:
+        assert report.holds == brute_force_isomorphic(g1, g2)
+    assert report.holds and report.proof == "map"
+    if len(g1.states) > 1:
+        budget = len(g1.states) - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "evolve", lambda system, h: evolve(system, h, max_states=budget))
+            with pytest.raises(ValueError, match="truncated"):
+                verify_semiring_identity("prod-comm", a, b, horizon=horizon)
 
 
 def test_product_associates_by_signature():
