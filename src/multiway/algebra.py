@@ -65,25 +65,37 @@ class CombinedSystem:
     translation: dict[str, str] | None = None
 
 
-def _check_operand(m: MultiwaySystem, seed: str) -> None:
-    """Reject reserved symbols unless the operand is itself a well-formed sum.
+def _checked_seed(*operands: MultiwaySystem) -> str:
+    """The seed symbol, once no operand uses a reserved symbol outside the sum shape.
 
     Sums of sums must be allowed (associativity!), so the seed may appear —
     but only in the shape the sum constructor emits: as the whole initial
     string and as the whole left-hand side of its expansion rules, never
     inside a right-hand side or a longer pattern.
     """
-    for sym in m.alphabet:
-        name = render_glyphs(sym)
-        if not name.startswith("[@"):
-            continue
-        if sym != seed:
-            raise ValueError(f"operand uses reserved symbol {name}")
-        if m.init != seed:
-            raise ValueError(f"operand embeds {name} outside the sum shape")
-        for lhs, rhs in m.rules:
-            if seed in rhs or (seed in lhs and lhs != seed):
+    seed = seed_symbol()
+    for m in operands:
+        for sym in m.alphabet:
+            name = render_glyphs(sym)
+            if not name.startswith("[@"):
+                continue
+            if sym != seed:
+                raise ValueError(f"operand uses reserved symbol {name}")
+            if m.init != seed:
                 raise ValueError(f"operand embeds {name} outside the sum shape")
+            for lhs, rhs in m.rules:
+                if seed in rhs or (seed in lhs and lhs != seed):
+                    raise ValueError(f"operand embeds {name} outside the sum shape")
+    return seed
+
+
+def _combined(
+    system: MultiwaySystem, kind: str, m1: MultiwaySystem, m2: MultiwaySystem, horizon: int, **extra
+) -> CombinedSystem:
+    """``system`` as the ``kind`` of m1 and m2; its growth law is exact for independent rules."""
+    verdict = check_rule_independence(m1, m2, horizon)
+    growth_law = "exact" if verdict.independent else "lower_bound"
+    return CombinedSystem(system, kind, (m1, m2), growth_law, independence=verdict, **extra)
 
 
 def second_layer(system: MultiwaySystem) -> list[str]:
@@ -102,22 +114,12 @@ def sum_systems(
     operands are not rule independent the construction still goes through
     but the addition law is only a lower bound, which ``growth_law`` records.
     """
-    seed = seed_symbol()
-    _check_operand(m1, seed)
-    _check_operand(m2, seed)
+    seed = _checked_seed(m1, m2)
     targets = dict.fromkeys(second_layer(m1) + second_layer(m2))
     alphabet = Alphabet((seed,)).union(m1.alphabet).union(m2.alphabet)
     rules = m1.rules + m2.rules + tuple(Rule(seed, t) for t in targets)
     system = MultiwaySystem(alphabet, rules, seed)
-    verdict = check_rule_independence(m1, m2, independence_horizon)
-    return CombinedSystem(
-        system,
-        "sum",
-        (m1, m2),
-        "exact" if verdict.independent else "lower_bound",
-        independence=verdict,
-        fresh_symbol=render_glyphs(seed),
-    )
+    return _combined(system, "sum", m1, m2, independence_horizon, fresh_symbol=render_glyphs(seed))
 
 
 def product_systems(
@@ -130,20 +132,11 @@ def product_systems(
     m2-part, so the states graph is the box product of the operand graphs.
     Same growth-law caveat as for sums.
     """
-    seed = seed_symbol()
-    _check_operand(m1, seed)
-    _check_operand(m2, seed)
+    _checked_seed(m1, m2)
     system = MultiwaySystem(
         m1.alphabet.union(m2.alphabet), m1.rules + m2.rules, m1.init + m2.init
     )
-    verdict = check_rule_independence(m1, m2, independence_horizon)
-    return CombinedSystem(
-        system,
-        "product",
-        (m1, m2),
-        "exact" if verdict.independent else "lower_bound",
-        independence=verdict,
-    )
+    return _combined(system, "product", m1, m2, independence_horizon)
 
 
 def check_rule_independence(
@@ -172,8 +165,6 @@ def check_rule_independence(
             own.alphabet.union(other.alphabet), own.rules + other.rules, own.init
         )
         ga, gm = evolve(own, horizon), evolve(merged, horizon)
-        if len(ga.layers) != len(gm.layers):
-            raise ValueError("graphs must be evolved to the same horizon")
         _require_complete(ga, gm)
         for d, (a, m) in enumerate(zip(_layer_contents(ga), _layer_contents(gm))):
             if a != m:
@@ -261,9 +252,9 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
     is a layer exhibiting a mismatch, when identifiable.  Truncated graphs
     raise ``ValueError``.
     """
+    _require_complete(g1, g2)
     if len(g1.layers) != len(g2.layers):
         raise ValueError("graphs must be evolved to the same horizon")
-    _require_complete(g1, g2)
     for d in range(len(g1.layers)):
         if len(g1.layers[d]) != len(g2.layers[d]):
             return False, d
@@ -345,27 +336,28 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
 # ---------------------------------------------------------------------------
 # Semiring identities
 
-SEMIRING_IDENTITIES = (
-    "sum-comm",
-    "sum-assoc",
-    "sum-neutral",
-    "prod-comm",
-    "prod-assoc",
-    "prod-neutral",
-    "distributivity",
-    "annihilation",
-)
 
-_IDENTITY_ARITY = {
-    "sum-comm": 2,
-    "sum-assoc": 3,
-    "sum-neutral": 1,
-    "prod-comm": 2,
-    "prod-assoc": 3,
-    "prod-neutral": 1,
-    "distributivity": 3,
-    "annihilation": 1,
+def _s(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
+    return sum_systems(a, b).system
+
+
+def _p(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
+    return product_systems(a, b).system
+
+
+# identity -> builder of its (lhs, rhs) from the operands; the builder's
+# parameter count is the identity's arity
+_IDENTITIES = {
+    "sum-comm": lambda a, b: (_s(a, b), _s(b, a)),
+    "sum-assoc": lambda a, b, c: (_s(_s(a, b), c), _s(a, _s(b, c))),
+    "sum-neutral": lambda a: (_s(a, zero_system()), a),
+    "prod-comm": lambda a, b: (_p(a, b), _p(b, a)),
+    "prod-assoc": lambda a, b, c: (_p(_p(a, b), c), _p(a, _p(b, c))),
+    "prod-neutral": lambda a: (_p(a, one_system()), a),
+    "distributivity": lambda a, b, c: (_p(a, _s(b, c)), _s(_p(a, b), _p(a, c))),
+    "annihilation": lambda a: (_p(zero_system(), a), zero_system()),
 }
+SEMIRING_IDENTITIES = tuple(_IDENTITIES)
 
 
 @dataclass(frozen=True)
@@ -418,10 +410,14 @@ def verify_semiring_identity(
 ) -> IdentityReport:
     """Check one of the sum/product algebra identities on concrete operands.
 
-    Both sides are built, then compared: syntactically equal presentations
-    (same rule set, initial state, and alphabet) certify the identity
-    outright; otherwise the two evolutions are compared for layered graph
-    isomorphism up to ``horizon``: mode ``"isomorphism"``.  For
+    ``identity`` is one of ``SEMIRING_IDENTITIES``; its row of the identity
+    table fixes its arity, so it takes exactly m1, m1 and m2, or all three.
+    Another name, or another number of operands, raises ``ValueError``.
+    Both sides are built from ``s`` (:func:`sum_systems`) and ``p``
+    (:func:`product_systems`), then compared: syntactically equal
+    presentations (same rule set, initial state, and alphabet) certify the
+    identity outright; otherwise the two evolutions are compared for layered
+    graph isomorphism up to ``horizon``: mode ``"isomorphism"``.  For
     ``prod-comm`` on operands with disjoint alphabets the construction names
     the isomorphism: a state ``x + y`` of ``p(m1, m2)``, with ``x`` its
     longest prefix over m1's symbols, goes to ``y + x``.  That map is
@@ -439,37 +435,13 @@ def verify_semiring_identity(
     minus those of ``p(m1, s(m2, m3))`` are m1's own counts from distance 1
     on, and the graphs part at layer 1.
     """
-    if identity not in _IDENTITY_ARITY:
+    build = _IDENTITIES.get(identity)
+    if build is None:
         raise ValueError(f"unknown identity {identity!r}")
-    got = 1 + (m2 is not None) + (m3 is not None)
-    if got != _IDENTITY_ARITY[identity]:
-        raise ValueError(
-            f"{identity} takes {_IDENTITY_ARITY[identity]} operand(s), got {got}"
-        )
-
-    def s(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
-        return sum_systems(a, b).system
-
-    def p(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
-        return product_systems(a, b).system
-
-    if identity == "sum-comm":
-        lhs, rhs = s(m1, m2), s(m2, m1)
-    elif identity == "sum-assoc":
-        lhs, rhs = s(s(m1, m2), m3), s(m1, s(m2, m3))
-    elif identity == "sum-neutral":
-        lhs, rhs = s(m1, zero_system()), m1
-    elif identity == "prod-comm":
-        lhs, rhs = p(m1, m2), p(m2, m1)
-    elif identity == "prod-assoc":
-        lhs, rhs = p(p(m1, m2), m3), p(m1, p(m2, m3))
-    elif identity == "prod-neutral":
-        lhs, rhs = p(m1, one_system()), m1
-    elif identity == "distributivity":
-        lhs, rhs = p(m1, s(m2, m3)), s(p(m1, m2), p(m1, m3))
-    else:  # annihilation
-        lhs, rhs = p(zero_system(), m1), zero_system()
-
+    arity, got = build.__code__.co_argcount, 1 + (m2 is not None) + (m3 is not None)
+    if got != arity:
+        raise ValueError(f"{identity} takes {arity} operand(s), got {got}")
+    lhs, rhs = build(*(m1, m2, m3)[:arity])
     if _signature(lhs) == _signature(rhs):
         return IdentityReport(identity, True, "signature", horizon)
     g1, g2 = evolve(lhs, horizon), evolve(rhs, horizon)

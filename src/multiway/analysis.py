@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate
 from random import Random
 from statistics import fmean, linear_regression
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import GrowthSeries
 
@@ -218,15 +218,24 @@ class ClassificationReport:
         return self.envelopes.provisional_from
 
 
-# model name -> coordinate transform of one point; a straight line in the
-# transformed coordinates means the model matches
-_MODELS: list[tuple[str, object]] = [
-    ("power", lambda x, y: (math.log(x), math.log(y))),
-    ("exponential", lambda x, y: (x, math.log(y))),
-    ("root-exponential", lambda x, y: (math.sqrt(x), math.log(y))),
-    ("logarithmic", lambda x, y: (math.log(x), y)),
-    ("log-squared", lambda x, y: (math.log(x) ** 2, y)),
-    ("log-log", lambda x, y: (math.log(math.log(x)), y)),
+# (model name, coordinate transform of one point, growth class named by the
+# fitted slope); a straight line in the transformed coordinates means the
+# model matches
+_MODELS: list[tuple[str, Callable, Callable[[float], GrowthClass]]] = [
+    (
+        "power",
+        lambda x, y: (math.log(x), math.log(y)),
+        lambda b: GrowthClass("Pol" if b >= POLY_EXPONENT_SPLIT else "InvPol", b),
+    ),
+    ("exponential", lambda x, y: (x, math.log(y)), lambda b: GrowthClass("Exp", math.exp(b))),
+    (
+        "root-exponential",
+        lambda x, y: (math.sqrt(x), math.log(y)),
+        lambda b: GrowthClass("Int", math.exp(b)),
+    ),
+    ("logarithmic", lambda x, y: (math.log(x), y), lambda b: GrowthClass("InvExp")),
+    ("log-squared", lambda x, y: (math.log(x) ** 2, y), lambda b: GrowthClass("InvInt")),
+    ("log-log", lambda x, y: (math.log(math.log(x)), y), lambda b: GrowthClass("InvSupExp")),
 ]
 
 
@@ -268,30 +277,16 @@ def _fit_points(env: Sequence[int]) -> list[tuple[int, int]]:
 
 def _fit_envelope(env: Sequence[int], fits: dict[str, float], prefix: str) -> GrowthClass:
     points = _fit_points(env)
-    best: tuple[float, str, float] | None = None
-    for name, transform in _MODELS:
-        X, Y = zip(*(transform(x, y) for x, y in points))  # type: ignore[operator]
+    ranked: list[tuple[float, Callable[[float], GrowthClass], float]] = []
+    for name, transform, named_class in _MODELS:
+        X, Y = zip(*(transform(x, y) for x, y in points))
         slope, _, r2 = _linreg(X, Y)
         fits[f"{prefix}:{name}"] = r2
-        if slope <= 1e-9:
-            continue  # growth classes are all increasing; flat is not a model
-        if best is None or r2 > best[0]:
-            best = (r2, name, slope)
-    if best is None or best[0] < R2_THRESHOLD:
-        return GrowthClass("Unknown")
-    _, name, slope = best
-    if name == "power":
-        kind = "Pol" if slope >= POLY_EXPONENT_SPLIT else "InvPol"
-        return GrowthClass(kind, slope)
-    if name == "exponential":
-        return GrowthClass("Exp", math.exp(slope))
-    if name == "root-exponential":
-        return GrowthClass("Int", math.exp(slope))
-    if name == "logarithmic":
-        return GrowthClass("InvExp")
-    if name == "log-squared":
-        return GrowthClass("InvInt")
-    return GrowthClass("InvSupExp")
+        if slope > 1e-9:  # growth classes are all increasing; flat is not a model
+            ranked.append((r2, named_class, slope))
+    # the first model with the best score wins ties; with no model, none passes
+    r2, named_class, slope = max(ranked, key=lambda fit: fit[0], default=(-math.inf, None, 0.0))
+    return GrowthClass("Unknown") if r2 < R2_THRESHOLD else named_class(slope)
 
 
 def _regularity(upper: GrowthClass, lower: GrowthClass) -> str:

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -70,6 +71,11 @@ def _default_budget() -> int:
     return value
 
 
+def _config(command: str, args: argparse.Namespace, *names: str) -> dict:
+    """The run configuration: the command, then each named argument in order."""
+    return {"command": command, **{name: getattr(args, name) for name in names}}
+
+
 def _config_json(config: dict) -> str:
     return json.dumps(config, separators=(", ", ": "))
 
@@ -105,13 +111,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         system, args.horizon - 1, max_states=args.budget, record_edges=args.format == "dot"
     )
     series = growth_series(graph)
-    config = {
-        "command": "simulate",
-        "rules": args.rules,
-        "horizon": args.horizon,
-        "budget": args.budget,
-        "format": args.format,
-    }
+    config = _config("simulate", args, "rules", "horizon", "budget", "format")
     if args.format == "json":
         rows = [
             {"d": d, "generation": d + 1, "count": count, "maxlen": maxlen}
@@ -152,12 +152,7 @@ def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     graph = evolve(system, args.horizon - 1, max_states=args.budget, record_edges=False)
     series = growth_series(graph)
     report = classify(series)
-    config = {
-        "command": "classify",
-        "rules": args.rules,
-        "horizon": args.horizon,
-        "budget": args.budget,
-    }
+    config = _config("classify", args, "rules", "horizon", "budget")
     payload = {
         "note": GENERATION_NOTE,
         "truncated": graph.truncated,
@@ -182,12 +177,7 @@ def cmd_compile_tm(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         system = enchain(machine, start_input=args.input)
     else:
         system = compile_tm(machine, input_n=args.input)
-    config = {
-        "command": "compile-tm",
-        "machine": args.machine,
-        "enchain": args.enchain,
-        "input": args.input,
-    }
+    config = _config("compile-tm", args, "machine", "enchain", "input")
     _emit(format_system(system, header=[TOOL_LINE, f"config: {_config_json(config)}"]), args.out)
     return EXIT_OK
 
@@ -205,24 +195,14 @@ def cmd_combine(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         combined = product_systems(*operands, independence_horizon=args.horizon)
     else:
         combined = reduce_to_binary(operands[0])
-    config = {
-        "command": "combine",
-        "op": args.op,
-        "operands": args.operands,
-        "horizon": args.horizon,
-    }
+    config = _config("combine", args, "op", "operands", "horizon")
     sidecar = args.out + ".provenance.json"
-    independence = None
-    if combined.independence is not None:
-        independence = {
-            "status": combined.independence.status,
-            "witness_layer": combined.independence.witness_layer,
-        }
+    verdict = combined.independence
     payload = {
         "op": combined.kind,
         "operands": args.operands,
         "growth_law": combined.growth_law,
-        "independence": independence,
+        "independence": None if verdict is None else asdict(verdict),
         "fresh_symbol": combined.fresh_symbol,
         "translation": combined.translation,
     }
@@ -241,7 +221,7 @@ def cmd_zoo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .zoo import ZOO
 
     if args.action == "list":
-        config = {"command": "zoo list", "format": args.format}
+        config = _config("zoo list", args, "format")
         if args.format == "json":
             entries = [
                 {
@@ -270,11 +250,7 @@ def cmd_zoo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         system = entry.build(*args.params)
     except TypeError:
         parser.error(f"wrong number of parameters for {args.name!r}")
-    config = {
-        "command": "zoo emit",
-        "name": args.name,
-        "params": args.params,
-    }
+    config = _config("zoo emit", args, "name", "params")
     manifest_path = args.out + ".manifest.json"
     manifest = {
         "name": entry.name,

@@ -219,15 +219,19 @@ class StatesGraph:
     (frontier state, rule index, match position), so ids and ``edges``
     depend on the system alone.  ``edges`` records every single-step rewrite
     discovered from a frontier state, including rewrites that land on
-    already-known states.
+    already-known states.  ``truncation_reason`` says which budget stopped
+    the evolution, or is None; ``truncated`` is read off it.
     """
 
     system: MultiwaySystem
     states: list[str]
     layers: list[list[StateId]]
     edges: list[Edge]
-    truncated: bool = False
     truncation_reason: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
     @property
     def horizon(self) -> int:
@@ -466,7 +470,7 @@ def evolve(
 
     if reason is not None:
         logger.warning("evolution truncated: %s", reason)
-    return StatesGraph(system, states, layers, edges, reason is not None, reason)
+    return StatesGraph(system, states, layers, edges, reason)
 
 
 # ---------------------------------------------------------------------------

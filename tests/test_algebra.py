@@ -231,7 +231,7 @@ def test_independence_requires_matching_horizons(monkeypatch):
     monkeypatch.setattr(algebra, "evolve", lambda system, horizon: evolve(system, horizon, max_states=3))
     m1 = make_system([("A", "B")], "A")
     m2 = make_system([("B", "BB")], "B")
-    with pytest.raises(ValueError, match="same horizon"):
+    with pytest.raises(ValueError, match="truncated.*more than 3 states"):
         check_rule_independence(m1, m2, horizon=4)
 
 
@@ -247,6 +247,25 @@ def test_isomorphism_rejects_truncated_graphs():
     g1, g2 = evolve(FORK, 4, max_states=3), evolve(FORK_AB, 4, max_states=3)
     with pytest.raises(ValueError, match="truncated.*more than 3 states"):
         layered_isomorphic(g1, g2)
+
+
+def test_isomorphism_reports_truncation_before_horizons():
+    # the rollback leaves the truncated graph short of layers; the truncation is the fault
+    g1, g2 = evolve(FORK, 4, max_states=3), evolve(FORK, 4)
+    assert len(g1.layers) < len(g2.layers)
+    with pytest.raises(ValueError, match="truncated.*more than 3 states"):
+        layered_isomorphic(g1, g2)
+
+
+def test_truncated_is_read_off_the_reason():
+    complete = StatesGraph(SHUTTLE, ["A"], [[0]], [])
+    assert complete.truncated is False
+    cut = StatesGraph(SHUTTLE, ["A"], [[0]], [], "more than 1 states while building layer 1")
+    assert cut.truncated is True
+    with pytest.raises(AttributeError):
+        cut.truncated = False
+    with pytest.raises(ValueError, match="truncated.*more than 1 states"):
+        algebra._require_complete(complete, cut)
 
 
 def test_independence_rejects_truncated_graphs(monkeypatch):
@@ -586,6 +605,40 @@ def test_identity_catalogue_is_complete():
         "distributivity",
         "annihilation",
     }
+
+
+# every identity with its operand count, in catalogue order
+IDENTITY_ARITY = {
+    "sum-comm": 2,
+    "sum-assoc": 3,
+    "sum-neutral": 1,
+    "prod-comm": 2,
+    "prod-assoc": 3,
+    "prod-neutral": 1,
+    "distributivity": 3,
+    "annihilation": 1,
+}
+
+
+def test_identity_catalogue_order():
+    assert SEMIRING_IDENTITIES == tuple(IDENTITY_ARITY)
+
+
+def test_unknown_identity_is_rejected():
+    with pytest.raises(ValueError, match="^unknown identity 'sum-inverse'$"):
+        verify_semiring_identity("sum-inverse", SYS_AB)
+
+
+# one operand too few or too many, as far as m1 (required) and m3 (last) allow
+@pytest.mark.parametrize(
+    "identity, given",
+    [(i, n) for i, arity in IDENTITY_ARITY.items() for n in (arity - 1, arity + 1) if 1 <= n <= 3],
+)
+def test_identity_operand_count_is_checked(identity, given):
+    operands = (SYS_AB, SYS_CD, SYS_BRANCH)[:given]
+    message = rf"^{identity} takes {IDENTITY_ARITY[identity]} operand\(s\), got {given}$"
+    with pytest.raises(ValueError, match=message):
+        verify_semiring_identity(identity, *operands)
 
 
 def test_sum_commutes_by_signature():
