@@ -148,37 +148,54 @@ def check_rule_independence(
     is evolved next to a merged-rules variant of itself: same initial
     string, its own rules first, then the other's.  Every state and simple
     edge of the operand's graph is also one of the merged graph's, so the
-    two finite graphs are isomorphic exactly when they are equal, and so are
-    their prefixes up to any layer.  The check therefore compares, layer by
-    layer, the set of states plus the (source, target) string pairs whose
-    later endpoint lies in that layer; the first layer that differs is the
-    witness.  This is exact at any size, but simulation can only ever
-    certify independence up to the horizon, and an evolution its budget
-    truncates raises ``ValueError``.
+    two finite graphs, and their prefixes up to any layer, are isomorphic
+    exactly when they are equal.  So the identity on state strings must
+    carry the operand's graph onto the merged graph; the first layer where
+    that map fails is the witness.  Exact at any size, but simulation only
+    certifies independence up to the horizon; a truncated evolution raises
+    ``ValueError``.
     """
     if horizon < 2:
         raise ValueError("independence horizon must be >= 2")
     if m1.alphabet.isdisjoint(m2.alphabet):
         return IndependenceVerdict("independent")
     for own, other in ((m1, m2), (m2, m1)):
-        merged = MultiwaySystem(
-            own.alphabet.union(other.alphabet), own.rules + other.rules, own.init
-        )
-        ga, gm = evolve(own, horizon), evolve(merged, horizon)
-        _require_complete(ga, gm)
-        for d, (a, m) in enumerate(zip(_layer_contents(ga), _layer_contents(gm))):
-            if a != m:
-                return IndependenceVerdict("dependent", d)
+        alphabet = own.alphabet.union(other.alphabet)
+        merged = MultiwaySystem(alphabet, own.rules + other.rules, own.init)
+        g = evolve(own, horizon)
+        witness = _map_fails_at(g, evolve(merged, horizon), g.states)
+        if witness is not None:
+            return IndependenceVerdict("dependent", witness)
     return IndependenceVerdict("independent_up_to_horizon")
 
 
-def _layer_contents(graph: StatesGraph) -> list[set]:
-    """Per layer, its states plus the simple edges whose later endpoint lies in it."""
-    states, dist = graph.states, graph.state_distances()
-    contents: list[set] = [{states[v] for v in layer} for layer in graph.layers]
-    for e in graph.edges:
-        contents[max(dist[e.src], dist[e.dst])].add((states[e.src], states[e.dst]))
-    return contents
+def _map_fails_at(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> int | None:
+    """The first layer where state v of g1 -> state ``images[v]`` of g2 fails.
+
+    None when the map is a per-layer bijection carrying g1's simple edge set
+    onto g2's (parallel rewrites collapse, as in :func:`layered_isomorphic`).
+    Layer d fails when its sizes differ, when its states' images are not g2's
+    states there, or when the images of the simple edges whose later endpoint
+    lies in it are not g2's such edges.  O(V + E).  Truncated graphs raise
+    ``ValueError``, as do graphs of different horizons alike up to the shorter.
+    """
+    _require_complete(g1, g2)
+    index = {s: w for w, s in enumerate(g2.states)}
+    phi = [index.get(s, -1) for s in images]  # -1: not a state of g2
+
+    def edges_by_layer(graph: StatesGraph, ids: list[int]) -> list[set[tuple[int, int]]]:
+        dist = graph.state_distances()
+        filed: list[set[tuple[int, int]]] = [set() for _ in graph.layers]
+        for u, v, _, _ in graph.edges:
+            du, dv = dist[u], dist[v]  # the later endpoint's; max() made the check 1.6x slower
+            filed[du if du > dv else dv].add((ids[u], ids[v]))
+        return filed
+
+    edges1, edges2 = edges_by_layer(g1, phi), edges_by_layer(g2, list(range(len(g2.states))))
+    for d, (a, b) in enumerate(zip(g1.layers, g2.layers, strict=True)):
+        if len(a) != len(b) or {phi[v] for v in a} != set(b) or edges1[d] != edges2[d]:
+            return d
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +381,10 @@ SEMIRING_IDENTITIES = tuple(_IDENTITIES)
 class IdentityReport:
     """Verdict for one algebraic identity, checked up to a finite horizon.
 
-    ``proof`` says how an ``"isomorphism"`` verdict was reached: ``"map"``
-    when a proposed state map passed its check, ``"search"`` when
-    :func:`layered_isomorphic` decided.  It is None for signature verdicts.
+    ``mode`` is ``"signature"`` for equal presentations, ``"isomorphism"``
+    when the evolutions were compared.  ``proof`` says how: ``"map"`` when a
+    proposed state map passed the per-layer check, ``"search"`` when
+    :func:`layered_isomorphic` decided, and None for signature verdicts.
     """
 
     identity: str
@@ -381,26 +399,6 @@ def _signature(m: MultiwaySystem):
     return frozenset(m.rules), m.init, frozenset(m.alphabet.symbols)
 
 
-def _map_is_isomorphism(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> bool:
-    """Does state v of g1 -> state ``images[v]`` of g2 carry g1 onto g2?
-
-    True only when the layers have the same sizes, every image is a state of
-    g2 in its preimage's layer, no two states share an image, and the map
-    sends the simple edge set of g1 onto that of g2 (parallel rewrites
-    collapse, as in :func:`layered_isomorphic`).  O(V + E).
-    """
-    if [len(layer) for layer in g1.layers] != [len(layer) for layer in g2.layers]:
-        return False
-    index = {s: i for i, s in enumerate(g2.states)}
-    phi = [index.get(s, -1) for s in images]
-    dist2 = g2.state_distances()
-    if any(w == -1 or dist2[w] != d for w, d in zip(phi, g1.state_distances())):
-        return False
-    if len(set(phi)) != len(phi):
-        return False
-    return {(phi[e.src], phi[e.dst]) for e in g1.edges} == {(e.src, e.dst) for e in g2.edges}
-
-
 def verify_semiring_identity(
     identity: str,
     m1: MultiwaySystem,
@@ -412,45 +410,46 @@ def verify_semiring_identity(
 
     ``identity`` is one of ``SEMIRING_IDENTITIES``; its row of the identity
     table fixes its arity, so it takes exactly m1, m1 and m2, or all three.
-    Another name, or another number of operands, raises ``ValueError``.
-    Both sides are built from ``s`` (:func:`sum_systems`) and ``p``
-    (:func:`product_systems`), then compared: syntactically equal
-    presentations (same rule set, initial state, and alphabet) certify the
-    identity outright; otherwise the two evolutions are compared for layered
-    graph isomorphism up to ``horizon``: mode ``"isomorphism"``.  For
-    ``prod-comm`` on operands with disjoint alphabets the construction names
-    the isomorphism: a state ``x + y`` of ``p(m1, m2)``, with ``x`` its
-    longest prefix over m1's symbols, goes to ``y + x``.  That map is
-    checked in O(V + E) (a per-layer bijection of states carrying the simple
-    edge set onto the simple edge set) and, when it passes, is the proof
-    (``proof="map"``).  Shared alphabets give no unambiguous split point,
-    and a map that fails its check proves nothing; both go to
-    :func:`layered_isomorphic` on the same two evolutions
-    (``proof="search"``), exact at every size and exponential in the worst
-    case.  Truncated evolutions raise ``ValueError`` on either path.
-    Distributivity and annihilation are expected to fail.  The neutral sum
+    Another name, another number of operands, or an operand out of place
+    (m3 without m2) raises ``ValueError``.  Both sides are built from ``s``
+    (:func:`sum_systems`) and ``p`` (:func:`product_systems`).  Equal
+    presentations (same rule set, initial state and alphabet) certify the
+    identity outright (mode ``"signature"``); otherwise the evolutions up to
+    ``horizon`` are compared (mode ``"isomorphism"``).  For ``prod-comm`` on
+    disjoint alphabets the construction names the isomorphism: a state
+    ``x + y`` of ``p(m1, m2)``, with ``x`` its longest prefix over m1's
+    symbols, goes to ``y + x``.  The per-layer check that decides rule
+    independence verifies that map in O(V + E), and a map that passes is
+    the proof (``proof="map"``).  Shared alphabets give no split point and a
+    failed map proves nothing; both go to :func:`layered_isomorphic` on the
+    same evolutions (``proof="search"``), exact at every size and
+    exponential in the worst case.  Truncated evolutions raise
+    ``ValueError`` on either path.
+    Distributivity and annihilation are expected to fail; the neutral sum
     element is not absorbing under the product.  For distributivity the
-    growth laws fix the gap: a sum counts ``[1] + (b_d + c_d)`` and a product
-    convolves, so with exact laws the counts of ``s(p(m1, m2), p(m1, m3))``
-    minus those of ``p(m1, s(m2, m3))`` are m1's own counts from distance 1
-    on, and the graphs part at layer 1.
+    growth laws fix the gap: a sum counts ``[1] + (b_d + c_d)`` and a
+    product convolves, so with exact laws the counts of
+    ``s(p(m1, m2), p(m1, m3))`` minus those of ``p(m1, s(m2, m3))`` are
+    m1's own counts from distance 1 on, and the graphs part at layer 1.
     """
     build = _IDENTITIES.get(identity)
     if build is None:
         raise ValueError(f"unknown identity {identity!r}")
-    arity, got = build.__code__.co_argcount, 1 + (m2 is not None) + (m3 is not None)
+    operands = (m1, m2, m3)
+    arity, got = build.__code__.co_argcount, sum(m is not None for m in operands)
     if got != arity:
         raise ValueError(f"{identity} takes {arity} operand(s), got {got}")
-    lhs, rhs = build(*(m1, m2, m3)[:arity])
+    if None in operands[:arity]:
+        raise ValueError(f"{identity} takes its {arity} operand(s) as m1 to m{arity}")
+    lhs, rhs = build(*operands[:arity])
     if _signature(lhs) == _signature(rhs):
         return IdentityReport(identity, True, "signature", horizon)
     g1, g2 = evolve(lhs, horizon), evolve(rhs, horizon)
     if identity == "prod-comm" and m1.alphabet.isdisjoint(m2.alphabet):
-        _require_complete(g1, g2)
         cut = "".join(m1.alphabet)
         tails = [s.lstrip(cut) for s in g1.states]
         swapped = [y + s[: len(s) - len(y)] for s, y in zip(g1.states, tails)]
-        if _map_is_isomorphism(g1, g2, swapped):
+        if _map_fails_at(g1, g2, swapped) is None:
             return IdentityReport(identity, True, "isomorphism", horizon, proof="map")
     ok, witness = layered_isomorphic(g1, g2)
     return IdentityReport(identity, ok, "isomorphism", horizon, witness, proof="search")

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
+# silent until the application configures logging; Python's fallback would print to stderr
+logger.addHandler(logging.NullHandler())
 
 # ---------------------------------------------------------------------------
 # Symbols and glyph strings

@@ -641,6 +641,13 @@ def test_identity_operand_count_is_checked(identity, given):
         verify_semiring_identity(identity, *operands)
 
 
+@pytest.mark.parametrize("identity", ["sum-comm", "prod-comm"])
+def test_identity_operands_are_checked_by_position(identity):
+    # two operands, but m3 stands where m2 belongs
+    with pytest.raises(ValueError, match=rf"^{identity} takes its 2 operand\(s\) as m1 to m2$"):
+        verify_semiring_identity(identity, SYS_AB, None, SYS_CD)
+
+
 def test_sum_commutes_by_signature():
     report = verify_semiring_identity("sum-comm", SYS_AB, SYS_CD)
     assert report.holds and report.mode == "signature"
@@ -671,52 +678,74 @@ def test_swap_map_checker_rejects_the_identity_map():
     g1 = evolve(product_systems(SYS_P, SYS_E).system, 10)
     g2 = evolve(product_systems(SYS_E, SYS_P).system, 10)
     assert len(g1.states) == 8_100
-    assert algebra._map_is_isomorphism(g1, g2, _swapped(g1.states, SYS_P))
-    assert not algebra._map_is_isomorphism(g1, g2, list(g1.states))
+    assert algebra._map_fails_at(g1, g2, _swapped(g1.states, SYS_P)) is None
+    # p(P, E) starts at AAQ, which is no state of p(E, P)
+    assert algebra._map_fails_at(g1, g2, list(g1.states)) == 0
 
 
 def _hand_graph(states, layers, edges):
     return StatesGraph(SHUTTLE, list(states), layers, [Edge(u, v, 0, 0) for u, v in edges])
 
 
-# Each case breaks exactly one condition of the check; images are state strings, as the swap gives.
+# Each case breaks exactly one condition of the check, and pins the first layer
+# that fails; images are state strings, as the swap gives.
 _WRONG_MAPS = {
     # a per-layer bijection carrying every edge but one
     "one edge differs": (
         _hand_graph("rab", [[0], [1, 2]], [(0, 1), (0, 2), (1, 2)]),
         _hand_graph("rab", [[0], [1, 2]], [(0, 1), (0, 2), (2, 1)]),
         "rab",
+        1,
+    ),
+    # the missing back edge c -> a belongs to the layer of its later endpoint c
+    "back edge differs": (
+        _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2), (2, 0)]),
+        _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2)]),
+        "abc",
+        2,
     ),
     # a rotation of a 3-cycle carries the edge set onto itself but not the layers
     "layer moves": (
         _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2), (2, 0)]),
         _hand_graph("abc", [[0], [1], [2]], [(0, 1), (1, 2), (2, 0)]),
         "bca",
+        0,
     ),
     # into g2, not onto it
     "layer sizes differ": (
         _hand_graph("ra", [[0], [1]], [(0, 1)]),
         _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
         "ra",
+        1,
+    ),
+    # two states collide onto all of g2's layer, and both edges onto its one edge:
+    # only the layer sizes tell
+    "only the sizes differ": (
+        _hand_graph("rab", [[0], [1, 2]], [(0, 1), (0, 2)]),
+        _hand_graph("ra", [[0], [1]], [(0, 1)]),
+        "raa",
+        1,
     ),
     "two states share an image": (
         _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
         _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
         "raa",
+        1,
     ),
     "image is not a state": (
         _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
         _hand_graph("rab", [[0], [1, 2]], [(0, 1)]),
         "rac",
+        1,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_WRONG_MAPS))
 def test_swap_map_checker_rejects_wrong_maps(case):
-    g1, g2, images = _WRONG_MAPS[case]
-    assert algebra._map_is_isomorphism(g2, g2, list(g2.states))
-    assert not algebra._map_is_isomorphism(g1, g2, list(images))
+    g1, g2, images, layer = _WRONG_MAPS[case]
+    assert algebra._map_fails_at(g2, g2, list(g2.states)) is None
+    assert algebra._map_fails_at(g1, g2, list(images)) == layer
 
 
 def test_failed_map_falls_back_to_the_search_on_the_same_graphs(monkeypatch):
@@ -727,7 +756,7 @@ def test_failed_map_falls_back_to_the_search_on_the_same_graphs(monkeypatch):
         return evolve(system, horizon)
 
     monkeypatch.setattr(algebra, "evolve", counted)
-    monkeypatch.setattr(algebra, "_map_is_isomorphism", lambda g1, g2, images: False)
+    monkeypatch.setattr(algebra, "_map_fails_at", lambda g1, g2, images: 0)
     report = verify_semiring_identity("prod-comm", SHUTTLE, SYS_BRANCH)
     assert (report.holds, report.mode, report.proof) == (True, "isomorphism", "search")
     assert len(calls) == 2

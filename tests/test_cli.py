@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from multiway.cli import main
+from multiway.cli import BUDGET_ENV_VAR, main
 from multiway.core import evolve
 from multiway.rulefiles import parse_system
 from multiway.tm import build_incrementer, compile_tm, enchain
@@ -82,6 +82,23 @@ def test_simulate_truncation_is_flagged_success_for_json(write_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["truncated"] is True
     assert "100 states" in doc["truncation_reason"]
+
+
+@pytest.mark.parametrize("fmt, exit_code", [("json", 0), ("csv", 5)])
+def test_truncated_simulate_writes_nothing_to_stderr(
+    write_file, capsys, monkeypatch, fmt, exit_code
+):
+    # the truncation is reported in-band; the library's warning stays off stderr
+    # unless the application configures logging
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    args = ["simulate", write_file(EXP3), "--horizon", "9", "--budget", "100", "--format", fmt]
+    assert main(args) == exit_code
+    in_process = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "multiway", *args], env=env, capture_output=True, timeout=60
+    )
+    assert (fresh.returncode, fresh.stderr, fresh.stdout.decode()) == (exit_code, b"", in_process)
 
 
 def test_simulate_dot_is_deterministic(write_file, tmp_path):

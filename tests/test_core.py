@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import tracemalloc
 from itertools import accumulate
 
@@ -309,6 +310,14 @@ def test_truncation_on_state_budget():
     # layers 0..3 hold 1+2+4+8 = 15 states; layer 4 would blow the budget
     assert g.horizon == 3
     assert growth_series(g).counts == [1, 2, 4, 8]
+
+
+def test_truncation_warning_reaches_a_configured_handler(caplog):
+    # the library's NullHandler keeps Python's fallback quiet, not the records
+    with caplog.at_level(logging.WARNING, logger="multiway.core"):
+        g = evolve(make_system([("Q", "Qa"), ("Q", "Qb"), ("Q", "Qc")], "Q"), 9, max_states=100)
+    assert g.truncated
+    assert [r.getMessage() for r in caplog.records] == [f"evolution truncated: {g.truncation_reason}"]
 
 
 def test_truncation_on_cell_budget():
