@@ -103,6 +103,21 @@ def second_layer(system: MultiwaySystem) -> list[str]:
     return evolve(system, 1).layer_strings(1)
 
 
+def _s(m1: MultiwaySystem, m2: MultiwaySystem) -> MultiwaySystem:
+    """The sum system alone: :func:`sum_systems` without its independence check."""
+    seed = _checked_seed(m1, m2)
+    targets = dict.fromkeys(second_layer(m1) + second_layer(m2))
+    alphabet = Alphabet((seed,)).union(m1.alphabet).union(m2.alphabet)
+    rules = m1.rules + m2.rules + tuple(Rule(seed, t) for t in targets)
+    return MultiwaySystem(alphabet, rules, seed)
+
+
+def _p(m1: MultiwaySystem, m2: MultiwaySystem) -> MultiwaySystem:
+    """The product system alone: :func:`product_systems` without its independence check."""
+    _checked_seed(m1, m2)
+    return MultiwaySystem(m1.alphabet.union(m2.alphabet), m1.rules + m2.rules, m1.init + m2.init)
+
+
 def sum_systems(
     m1: MultiwaySystem, m2: MultiwaySystem, independence_horizon: int = 4
 ) -> CombinedSystem:
@@ -114,12 +129,8 @@ def sum_systems(
     operands are not rule independent the construction still goes through
     but the addition law is only a lower bound, which ``growth_law`` records.
     """
-    seed = _checked_seed(m1, m2)
-    targets = dict.fromkeys(second_layer(m1) + second_layer(m2))
-    alphabet = Alphabet((seed,)).union(m1.alphabet).union(m2.alphabet)
-    rules = m1.rules + m2.rules + tuple(Rule(seed, t) for t in targets)
-    system = MultiwaySystem(alphabet, rules, seed)
-    return _combined(system, "sum", m1, m2, independence_horizon, fresh_symbol=render_glyphs(seed))
+    system = _s(m1, m2)
+    return _combined(system, "sum", m1, m2, independence_horizon, fresh_symbol=render_glyphs(system.init))
 
 
 def product_systems(
@@ -132,11 +143,7 @@ def product_systems(
     m2-part, so the states graph is the box product of the operand graphs.
     Same growth-law caveat as for sums.
     """
-    _checked_seed(m1, m2)
-    system = MultiwaySystem(
-        m1.alphabet.union(m2.alphabet), m1.rules + m2.rules, m1.init + m2.init
-    )
-    return _combined(system, "product", m1, m2, independence_horizon)
+    return _combined(_p(m1, m2), "product", m1, m2, independence_horizon)
 
 
 def check_rule_independence(
@@ -354,14 +361,6 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
 # Semiring identities
 
 
-def _s(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
-    return sum_systems(a, b).system
-
-
-def _p(a: MultiwaySystem, b: MultiwaySystem) -> MultiwaySystem:
-    return product_systems(a, b).system
-
-
 # identity -> builder of its (lhs, rhs) from the operands; the builder's
 # parameter count is the identity's arity
 _IDENTITIES = {
@@ -411,8 +410,9 @@ def verify_semiring_identity(
     ``identity`` is one of ``SEMIRING_IDENTITIES``; its row of the identity
     table fixes its arity, so it takes exactly m1, m1 and m2, or all three.
     Another name, another number of operands, or an operand out of place
-    (m3 without m2) raises ``ValueError``.  Both sides are built from ``s``
-    (:func:`sum_systems`) and ``p`` (:func:`product_systems`).  Equal
+    (m3 without m2) raises ``ValueError``.  Both sides are built from ``s`` and
+    ``p``, the systems :func:`sum_systems` and :func:`product_systems` build,
+    without the rule-independence checks no identity reads.  Equal
     presentations (same rule set, initial state and alphabet) certify the
     identity outright (mode ``"signature"``); otherwise the evolutions up to
     ``horizon`` are compared (mode ``"isomorphism"``).  For ``prod-comm`` on

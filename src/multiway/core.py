@@ -219,16 +219,20 @@ class StatesGraph:
     ``layers[d]`` lists the ids of states first reached at distance ``d``
     from the initial string, in the order breadth-first search finds them
     (frontier state, rule index, match position), so ids and ``edges``
-    depend on the system alone.  ``edges`` records every single-step rewrite
-    discovered from a frontier state, including rewrites that land on
-    already-known states.  ``truncation_reason`` says which budget stopped
-    the evolution, or is None; ``truncated`` is read off it.
+    depend on the system alone.  ``edges`` holds every single-step rewrite
+    from a state of ``layers[:-1]``, including rewrites that land on
+    already-known states, in that same order.  Given as None (as
+    :func:`evolve` does) it is derived from ``system``, ``states`` and
+    ``layers`` when first read, by one more matching pass over those states,
+    and kept; a list given explicitly is returned as it is.
+    ``truncation_reason`` says which budget stopped the evolution, or is
+    None; ``truncated`` is read off it.
     """
 
     system: MultiwaySystem
     states: list[str]
     layers: list[list[StateId]]
-    edges: list[Edge]
+    edges: list[Edge] | None  # a property once the class is built: see _read_edges
     truncation_reason: str | None = None
 
     @property
@@ -355,6 +359,32 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
     return groups
 
 
+def _read_edges(graph: StatesGraph) -> list[Edge]:
+    """``graph.edges``: the list given, or else one :class:`Edge` per match in
+    each state of ``layers[:-1]``, in discovery order, derived once and kept.
+
+    Those layers are the frontiers :func:`evolve` expanded and kept: the last
+    is where it stopped, and a budget drops the layer being built together
+    with the rewrites that found it.
+    """
+    if graph._edges is None:
+        plans = _rule_plans(graph.system)
+        index = {s: i for i, s in enumerate(graph.states)}
+        edges: list[Edge] = []
+        for layer in graph.layers[:-1]:
+            for u in layer:
+                for t, ri, positions in _rewrite_groups(plans, graph.states[u]):
+                    v = index[t]
+                    for pos in positions:
+                        edges.append(Edge(u, v, ri, pos))
+        graph._edges = edges
+    return graph._edges
+
+
+# the field, made a property: the dataclass __init__ assigns ``edges`` through it
+StatesGraph.edges = property(_read_edges, lambda graph, edges: setattr(graph, "_edges", edges))
+
+
 def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]:
     """All single-step rewrites of ``state`` as (result, rule index, position).
 
@@ -390,8 +420,8 @@ def evolve(
 
     Explores all single-step rewrites layer by layer.  A string that was
     reached at any earlier distance is never re-added (rewrites onto it are
-    still recorded as edges).  Once the frontier dies out, the remaining
-    layers up to ``horizon`` are present but empty.
+    still edges).  Once the frontier dies out, the remaining layers up to
+    ``horizon`` are present but empty.
 
     Cost per frontier state: one containment test per guard group of
     left-hand sides (a symbol shared by several lhs, or a lone lhs; see
@@ -400,12 +430,13 @@ def evolve(
     guard is absent from the state costs one one-symbol test however many
     lhs it holds.  A rewrite result is built and deduplicated once per group
     of consecutive matches of one rule that give the same string, not once
-    per match.  For a
-    one-symbol lhs c with rhs in c*, a whole run of c is one group found in
-    one step, so a run of L matches of ``A -> AA`` costs one step, not L;
-    other coinciding matches are still found one by one.  Each group costs
-    one dict lookup, and no layer is sorted.  Only recorded edges cost one
-    step per match.
+    per match.  For a one-symbol lhs c with rhs in c*, a whole run of c is
+    one group found in one step, so a run of L matches of ``A -> AA`` costs
+    one step, not L; other coinciding matches are still found one by one.
+    Each group costs one dict lookup, and no layer is sorted.  No edge is
+    built here: the graph's ``edges`` are derived when first read, by a
+    second matching pass over the expanded states that costs one step per
+    match, so a caller that reads only states and layers never pays it.
 
     Args:
         system: the rewriting system.
@@ -421,8 +452,9 @@ def evolve(
             Budgets are hard bounds: one the initial string already
             breaks (``max_states < 1`` or ``max_cells < len(init)``) is
             rejected with ``ValueError``, as a negative horizon is.
-        record_edges: when False, ``edges`` stays empty and no edge is
-            built; states and layers are the same either way.
+        record_edges: when False, ``edges`` is ``[]`` and never derived;
+            when True, it is derived on first read.  States and layers are
+            the same either way.
 
     Returns:
         A :class:`StatesGraph`.
@@ -437,18 +469,16 @@ def evolve(
     states: list[str] = [system.init]
     index: dict[str, StateId] = {system.init: 0}
     layers: list[list[StateId]] = [[0]]
-    edges: list[Edge] = []
     cells = len(system.init)
     reason: str | None = None
 
     frontier: list[StateId] = [0]
     for d in range(1, horizon + 1):
-        first, first_edge = len(states), len(edges)
+        first = len(states)
         layer: list[StateId] = []
         for u in frontier:
-            for t, ri, positions in _rewrite_groups(plans, states[u]):
-                v = index.get(t)
-                if v is None:
+            for t, _, _ in _rewrite_groups(plans, states[u]):
+                if t not in index:
                     v = index[t] = len(states)
                     states.append(t)
                     layer.append(v)
@@ -459,20 +489,17 @@ def evolve(
                     if cells > max_cells:
                         reason = f"more than {max_cells} stored cells while building layer {d}"
                         break
-                if record_edges:
-                    for pos in positions:
-                        edges.append(Edge(u, v, ri, pos))
             if reason is not None:
                 break
         if reason is not None:
-            del states[first:], edges[first_edge:]
+            del states[first:]
             break
         layers.append(layer)
         frontier = layer
 
     if reason is not None:
         logger.warning("evolution truncated: %s", reason)
-    return StatesGraph(system, states, layers, edges, reason)
+    return StatesGraph(system, states, layers, None if record_edges else [], reason)
 
 
 # ---------------------------------------------------------------------------

@@ -816,6 +816,30 @@ def test_distributivity_fails_at_first_layer():
     assert report.counterexample_layer == 1
 
 
+@pytest.mark.parametrize(
+    "identity, operands",
+    [("distributivity", (SYS_AB, SYS_CD, SYS_BRANCH))]
+    + [(i, (SYS_AB, SHUTTLE, SYS_BRANCH)[:arity]) for i, arity in IDENTITY_ARITY.items()],
+    ids=["distributivity-disjoint"] + [f"{i}-shared" for i in IDENTITY_ARITY],
+)
+def test_identities_check_no_rule_independence(identity, operands, monkeypatch):
+    # an identity compares the combined systems; no growth law, so no independence verdict, is read
+    calls = []
+    check = algebra.check_rule_independence
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(algebra, "check_rule_independence", spy)
+    sum_systems(SYS_AB, SHUTTLE)
+    product_systems(SYS_AB, SHUTTLE)
+    assert len(calls) == 2  # the spy sees the combinators' checks
+    calls.clear()
+    verify_semiring_identity(identity, *operands)
+    assert calls == []
+
+
 def test_annihilation_fails_at_first_layer():
     report = verify_semiring_identity("annihilation", SYS_AB)
     assert not report.holds

@@ -14,7 +14,7 @@ from conftest import (
     pool_rules,
     pool_system,
 )
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from multiway import core, zoo
@@ -22,6 +22,7 @@ from multiway.core import (
     Edge,
     GlyphError,
     Rule,
+    StatesGraph,
     evolve,
     export_dot,
     growth_series,
@@ -527,3 +528,60 @@ def test_edges_connect_adjacent_or_earlier_layers(rules, init):
     entered = {e.dst for e in g.edges if dist[e.dst] == dist[e.src] + 1}
     for sid in range(1, len(g.states)):
         assert sid in entered
+
+
+# --- edges are derived when first read ------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rules=pool_rules,
+    init=pool_init,
+    budget=st.sampled_from(["max_states", "max_cells"]),
+    pick=st.integers(0, 10**6),
+)
+def test_derived_edges_are_the_naive_successors_in_order(rules, init, budget, pick):
+    # sources are layers[:-1]: the horizon's layer, or the one a budget left last, is never expanded
+    m = pool_system(LOW_POOL, rules, rules[0][0] + init)  # the first lhs matches at once
+    full = evolve(m, 4, max_states=100_000)
+    size = (lambda s: 1) if budget == "max_states" else len
+    least, total = size(m.init), sum(map(size, full.states))
+    g = evolve(m, 4, **{budget: least + pick % (total - least + 1)})  # the top limit truncates nothing
+    event(f"{budget} truncated: {g.truncated}")
+    for graph in (full, g):
+        index = {s: i for i, s in enumerate(graph.states)}
+        expected = [
+            (u, index[t], ri, p)
+            for layer in graph.layers[:-1]
+            for u in layer
+            for t, ri, p in naive_successors(list(m.rules), graph.states[u])
+        ]
+        assert graph.edges == expected
+        assert all(type(e) is Edge for e in graph.edges)
+
+
+def test_evolve_builds_no_edge_until_edges_are_read(monkeypatch):
+    built = []
+
+    def spy(*fields):
+        built.append(fields)
+        return Edge(*fields)
+
+    monkeypatch.setattr(core, "Edge", spy)
+    m = make_system([("A", "AB"), ("B", "A")], "A")
+    g = evolve(m, 5)
+    assert built == [] and len(g.states) > 1
+    edges = g.edges
+    assert edges and len(built) == len(edges)
+    assert g.edges is edges and len(built) == len(edges)  # kept, not derived again
+    unrecorded = evolve(m, 5, record_edges=False)
+    assert unrecorded.edges == [] and len(built) == len(edges)  # never derived
+
+
+def test_explicit_edges_are_returned_as_given():
+    m = make_system([("A", "AB")], "A")
+    explicit = [Edge(1, 0, 3, 7)]  # no rewrite of the system: a derivation would not give it
+    assert StatesGraph(m, ["A", "AB"], [[0], [1]], explicit).edges is explicit
+    assert StatesGraph(m, ["A", "AB"], [[0], [1]], []).edges == []
+    assert StatesGraph(m, ["A", "AB"], [[0], [1]], None).edges == [Edge(0, 1, 0, 0)]
+
