@@ -20,14 +20,10 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import evolve, export_dot, growth_series
 from .rulefiles import ParseError, format_system, parse_system
-
-if TYPE_CHECKING:
-    from .analysis import GrowthClass
 
 # algebra, analysis, tm and zoo are imported by the commands that run them,
 # so start-up pays only for core and rulefiles
@@ -95,10 +91,6 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _class_dict(cls: GrowthClass) -> dict:
-    return {"kind": cls.kind, "parameter": cls.parameter}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -158,8 +150,8 @@ def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "truncated": graph.truncated,
         "layers": len(series.counts),
         "counts": series.counts,
-        "upper_class": _class_dict(report.upper_class),
-        "lower_class": _class_dict(report.lower_class),
+        "upper_class": asdict(report.upper_class),
+        "lower_class": asdict(report.lower_class),
         "regular": report.regular,
         "fits": report.fits,
         "provisional_tail": report.provisional_tail,

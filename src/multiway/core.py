@@ -122,9 +122,6 @@ class Alphabet:
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)
 
-    def __contains__(self, sym: object) -> bool:
-        return sym in self.symbols
-
     @property
     def glyphs(self) -> tuple[str, ...]:
         return tuple(render_glyphs(s) for s in self.symbols)

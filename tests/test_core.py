@@ -53,6 +53,7 @@ def test_parse_glyphs_rejects(bad):
 def test_alphabet_inferred_in_first_appearance_order():
     m = make_system([("B", "CA")], "AB")
     assert m.alphabet.glyphs == ("A", "B", "C")
+    assert "A" in m.alphabet and "D" not in m.alphabet
     with pytest.raises(GlyphError):
         m.alphabet.check(parse_glyphs("AD"))
 
