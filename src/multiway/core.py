@@ -216,8 +216,10 @@ class StatesGraph:
     ``layers[d]`` lists the ids of states first reached at distance ``d``
     from the initial string, in the order breadth-first search finds them
     (frontier state, rule index, match position), so ids and ``edges``
-    depend on the system alone.  ``edges`` holds every single-step rewrite
-    from a state of ``layers[:-1]``, including rewrites that land on
+    depend on the system alone.  Any sequence of ids will do; :func:`evolve`
+    numbers states in that order, so each of its layers is a ``range`` that
+    starts where the previous one stops.  ``edges`` holds every single-step
+    rewrite from a state of ``layers[:-1]``, including rewrites that land on
     already-known states, in that same order.  Given as None (as
     :func:`evolve` does) it is derived from ``system``, ``states`` and
     ``layers`` when first read, by one more matching pass over those states,
@@ -228,7 +230,7 @@ class StatesGraph:
 
     system: MultiwaySystem
     states: list[str]
-    layers: list[list[StateId]]
+    layers: list[Sequence[StateId]]
     edges: list[Edge] | None  # a property once the class is built: see _read_edges
     truncation_reason: str | None = None
 
@@ -430,10 +432,12 @@ def evolve(
     per match.  For a one-symbol lhs c with rhs in c*, a whole run of c is
     one group found in one step, so a run of L matches of ``A -> AA`` costs
     one step, not L; other coinciding matches are still found one by one.
-    Each group costs one dict lookup, and no layer is sorted.  No edge is
-    built here: the graph's ``edges`` are derived when first read, by a
-    second matching pass over the expanded states that costs one step per
-    match, so a caller that reads only states and layers never pays it.
+    Each group costs one set membership test, and no layer is sorted.  A
+    state is stored once, as its string in ``states``: no id or int is kept
+    per state, since each layer is the ``range`` of ids it was given.  No
+    edge is built here: the graph's ``edges`` are derived when first read,
+    by a second matching pass over the expanded states that costs one step
+    per match, so a caller that reads only states and layers never pays it.
 
     Args:
         system: the rewriting system.
@@ -464,23 +468,21 @@ def evolve(
         raise ValueError("max_cells must be at least the length of the initial string")
     plans = _rule_plans(system)
     states: list[str] = [system.init]
-    index: dict[str, StateId] = {system.init: 0}
-    layers: list[list[StateId]] = [[0]]
+    seen: set[str] = {system.init}
+    layers: list[Sequence[StateId]] = [range(1)]
     cells = len(system.init)
     reason: str | None = None
 
-    frontier: list[StateId] = [0]
+    frontier = [system.init]
     for d in range(1, horizon + 1):
-        first = len(states)
-        layer: list[StateId] = []
-        for u in frontier:
-            for t, _, _ in _rewrite_groups(plans, states[u]):
-                if t not in index:
-                    v = index[t] = len(states)
-                    states.append(t)
-                    layer.append(v)
+        layer: list[str] = []
+        for s in frontier:
+            for t, _, _ in _rewrite_groups(plans, s):
+                if t not in seen:
+                    seen.add(t)
+                    layer.append(t)
                     cells += len(t)
-                    if len(states) > max_states:
+                    if len(states) + len(layer) > max_states:
                         reason = f"more than {max_states} states while building layer {d}"
                         break
                     if cells > max_cells:
@@ -489,13 +491,12 @@ def evolve(
             if reason is not None:
                 break
         if reason is not None:
-            del states[first:]
+            logger.warning("evolution truncated: %s", reason)
             break
-        layers.append(layer)
+        layers.append(range(len(states), len(states) + len(layer)))
+        states += layer
         frontier = layer
 
-    if reason is not None:
-        logger.warning("evolution truncated: %s", reason)
     return StatesGraph(system, states, layers, None if record_edges else [], reason)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -18,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from multiway import core, zoo
+from multiway.algebra import _map_fails_at, layered_isomorphic
 from multiway.core import (
     Edge,
     GlyphError,
@@ -288,11 +290,54 @@ def test_layer_order_does_not_depend_on_interning_order(rules, init):
 
 
 def test_layer_ids_sorted_and_contiguous():
-    m = make_system([("A", "BC"), ("A", "CB")], "AA")
-    g = evolve(m, 2)
-    for d in range(g.horizon + 1):
-        assert g.layers[d] == sorted(g.layers[d])
-    assert sorted(i for layer in g.layers for i in layer) == list(range(len(g.states)))
+    complete = evolve(make_system([("A", "BC"), ("A", "CB")], "AA"), 2)
+    # the budget breaks layer 4 of 1, 2, 4, 8, 16 states: its strings must not stay behind
+    truncated = evolve(make_system([("Q", "Qa"), ("Q", "Qb")], "Q"), 6, max_states=20)
+    assert not complete.truncated and truncated.truncated
+    for g in (complete, truncated):
+        assert all(type(layer) is range and layer.step == 1 for layer in g.layers)
+        assert g.layers[0] == range(1)
+        assert all(b.start == a.stop for a, b in zip(g.layers, g.layers[1:]))
+        assert g.layers[-1].stop == len(g.states)
+    assert truncated.layers[-1] == range(7, 15)
+
+
+def test_evolve_keeps_no_bookkeeping_per_state():
+    # 88,573 states; an id per state (a dict entry, an int and a list slot) would keep about 45 bytes
+    m = zoo.exponential(3)
+    tracemalloc.start()
+    try:
+        g = evolve(m, 10, record_edges=False)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.states) == sum(3**d for d in range(11))
+    assert (kept - sum(map(sys.getsizeof, g.states))) / len(g.states) < 16
+
+
+def _assert_list_layers_read_the_same(g: StatesGraph) -> None:
+    copy = StatesGraph(g.system, g.states, [list(layer) for layer in g.layers], None)
+    assert growth_series(copy) == growth_series(g)
+    assert export_dot(copy) == export_dot(g)
+    assert copy.edges == g.edges
+    assert copy.state_distances() == g.state_distances()
+    assert layered_isomorphic(copy, g) == (True, None)
+    assert _map_fails_at(copy, g, g.states) is None
+
+
+@pytest.mark.parametrize(
+    "build, horizon",
+    [(zoo.chain, 5), (zoo.polynomial, 8), (zoo.intermediate, 12), (zoo.burst, 6)],
+    ids=["chain", "polynomial", "intermediate", "burst"],
+)
+def test_hand_built_list_layers_read_as_evolved_ranges(build, horizon):
+    _assert_list_layers_read_the_same(evolve(build(), horizon))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules=pool_rules, init=pool_init)
+def test_hand_built_list_layers_read_as_evolved_ranges_on_drawn_systems(rules, init):
+    _assert_list_layers_read_the_same(evolve(pool_system(LOW_POOL, rules, init), 3))
 
 
 def test_matches_naive_expansion_on_length_changing_rules():
