@@ -183,10 +183,10 @@ def _map_fails_at(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> int | 
     onto g2's (parallel rewrites collapse, as in :func:`layered_isomorphic`).
     Layer d fails when its sizes differ, when its states' images are not g2's
     states there, or when the images of the simple edges whose later endpoint
-    lies in it are not g2's such edges.  O(V + E).  Truncated graphs raise
-    ``ValueError``, as do graphs of different horizons alike up to the shorter.
+    lies in it are not g2's such edges.  O(V + E).  Truncated graphs and
+    graphs of different horizons raise ``ValueError``.
     """
-    _require_complete(g1, g2)
+    _require_comparable(g1, g2)
     index = {s: w for w, s in enumerate(g2.states)}
     phi = [index.get(s, -1) for s in images]  # -1: not a state of g2
 
@@ -199,7 +199,7 @@ def _map_fails_at(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> int | 
         return filed
 
     edges1, edges2 = edges_by_layer(g1, phi), edges_by_layer(g2, list(range(len(g2.states))))
-    for d, (a, b) in enumerate(zip(g1.layers, g2.layers, strict=True)):
+    for d, (a, b) in enumerate(zip(g1.layers, g2.layers)):
         if len(a) != len(b) or {phi[v] for v in a} != set(b) or edges1[d] != edges2[d]:
             return d
     return None
@@ -255,11 +255,14 @@ def _simple_adjacency(graph: StatesGraph) -> tuple[list[set[int]], list[set[int]
     return fwd, back
 
 
-def _require_complete(*graphs: StatesGraph) -> None:
-    # a truncated graph lacks the edges its rolled-back layer found among the kept ones
-    for g in graphs:
+def _require_comparable(g1: StatesGraph, g2: StatesGraph) -> None:
+    # a truncated graph lacks the edges its rolled-back layer found among the kept ones,
+    # and so is short of layers: its truncation is the fault to report
+    for g in (g1, g2):
         if g.truncated:
             raise ValueError(f"graph is truncated ({g.truncation_reason}); compare complete graphs")
+    if len(g1.layers) != len(g2.layers):
+        raise ValueError("graphs must be evolved to the same horizon")
 
 
 def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | None]:
@@ -274,11 +277,9 @@ def layered_isomorphic(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | No
     exponential in the worst case, on graphs that refinement cannot separate
     (Cai, Fürer & Immerman 1992).  Returns (verdict, witness) where witness
     is a layer exhibiting a mismatch, when identifiable.  Truncated graphs
-    raise ``ValueError``.
+    and graphs of different horizons raise ``ValueError``.
     """
-    _require_complete(g1, g2)
-    if len(g1.layers) != len(g2.layers):
-        raise ValueError("graphs must be evolved to the same horizon")
+    _require_comparable(g1, g2)
     for d in range(len(g1.layers)):
         if len(g1.layers[d]) != len(g2.layers[d]):
             return False, d
@@ -399,18 +400,14 @@ def _signature(m: MultiwaySystem):
 
 
 def verify_semiring_identity(
-    identity: str,
-    m1: MultiwaySystem,
-    m2: MultiwaySystem | None = None,
-    m3: MultiwaySystem | None = None,
-    horizon: int = 5,
+    identity: str, *operands: MultiwaySystem, horizon: int = 5
 ) -> IdentityReport:
     """Check one of the sum/product algebra identities on concrete operands.
 
     ``identity`` is one of ``SEMIRING_IDENTITIES``; its row of the identity
-    table fixes its arity, so it takes exactly m1, m1 and m2, or all three.
-    Another name, another number of operands, or an operand out of place
-    (m3 without m2) raises ``ValueError``.  Both sides are built from ``s`` and
+    table fixes its arity, the number of operands m1, m2, m3 it takes in that
+    order.  Another name or another number of operands raises
+    ``ValueError``.  Both sides are built from ``s`` and
     ``p``, the systems :func:`sum_systems` and :func:`product_systems` build,
     without the rule-independence checks no identity reads.  Equal
     presentations (same rule set, initial state and alphabet) certify the
@@ -435,18 +432,15 @@ def verify_semiring_identity(
     build = _IDENTITIES.get(identity)
     if build is None:
         raise ValueError(f"unknown identity {identity!r}")
-    operands = (m1, m2, m3)
-    arity, got = build.__code__.co_argcount, sum(m is not None for m in operands)
-    if got != arity:
-        raise ValueError(f"{identity} takes {arity} operand(s), got {got}")
-    if None in operands[:arity]:
-        raise ValueError(f"{identity} takes its {arity} operand(s) as m1 to m{arity}")
-    lhs, rhs = build(*operands[:arity])
+    arity = build.__code__.co_argcount
+    if len(operands) != arity:
+        raise ValueError(f"{identity} takes {arity} operand(s), got {len(operands)}")
+    lhs, rhs = build(*operands)
     if _signature(lhs) == _signature(rhs):
         return IdentityReport(identity, True, "signature", horizon)
     g1, g2 = evolve(lhs, horizon), evolve(rhs, horizon)
-    if identity == "prod-comm" and m1.alphabet.isdisjoint(m2.alphabet):
-        cut = "".join(m1.alphabet)
+    if identity == "prod-comm" and operands[0].alphabet.isdisjoint(operands[1].alphabet):
+        cut = "".join(operands[0].alphabet)
         tails = [s.lstrip(cut) for s in g1.states]
         swapped = [y + s[: len(s) - len(y)] for s, y in zip(g1.states, tails)]
         if _map_fails_at(g1, g2, swapped) is None:

@@ -40,18 +40,17 @@ BUDGET_ENV_VAR = "MULTIWAY_BUDGET"
 DEFAULT_BUDGET = 1_000_000
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers no smaller than ``low``."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def _default_budget() -> int:
@@ -277,13 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p: argparse.ArgumentParser, horizon_default: int) -> None:
         p.add_argument(
             "--horizon",
-            type=_positive_int,
+            type=_int_at_least(1),
             default=horizon_default,
             help=f"generations to evolve, i.e. rows printed (default {horizon_default})",
         )
         p.add_argument(
             "--budget",
-            type=_positive_int,
+            type=_int_at_least(1),
             default=None,
             help=f"state cap; default {DEFAULT_BUDGET} or ${BUDGET_ENV_VAR}",
         )
@@ -307,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enchain", action="store_true", help="wrap into the restart chain")
     p.add_argument(
         "--input",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=1,
         help="unary input n for the start configuration (default 1)",
     )
@@ -319,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("sum", "product", "reduce"), required=True)
     p.add_argument(
         "--horizon",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=4,
         help="independence-check horizon for sum/product (default 4)",
     )

@@ -223,16 +223,20 @@ class StatesGraph:
     already-known states, in that same order.  Given as None (as
     :func:`evolve` does) it is derived from ``system``, ``states`` and
     ``layers`` when first read, by one more matching pass over those states,
-    and kept; a list given explicitly is returned as it is.
-    ``truncation_reason`` says which budget stopped the evolution, or is
-    None; ``truncated`` is read off it.
+    and kept; a list given explicitly is returned as it is.  Neither
+    ``repr`` nor ``==`` reads it.  ``truncation_reason`` says which budget
+    stopped the evolution, or is None; ``truncated`` is read off it.
     """
 
     system: MultiwaySystem
     states: list[str]
     layers: list[Sequence[StateId]]
-    edges: list[Edge] | None  # a property once the class is built: see _read_edges
+    _edges: list[Edge] | None = field(repr=False, compare=False)  # read through ``edges``
     truncation_reason: str | None = None
+
+    @property
+    def edges(self) -> list[Edge]:
+        return _read_edges(self)
 
     @property
     def truncated(self) -> bool:
@@ -378,10 +382,6 @@ def _read_edges(graph: StatesGraph) -> list[Edge]:
                         edges.append(Edge(u, v, ri, pos))
         graph._edges = edges
     return graph._edges
-
-
-# the field, made a property: the dataclass __init__ assigns ``edges`` through it
-StatesGraph.edges = property(_read_edges, lambda graph, edges: setattr(graph, "_edges", edges))
 
 
 def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]:

@@ -1,6 +1,11 @@
-"""Plain-text rule files: ``alphabet:`` / ``init:`` / ``rule: lhs -> rhs`` lines."""
+"""Plain-text rule files: ``alphabet:`` / ``init:`` / ``rule: lhs -> rhs`` lines.
+
+Machine files (:func:`multiway.tm.parse_tm`) share their line reader, :func:`directives`.
+"""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .core import Alphabet, GlyphError, MultiwaySystem, Rule, parse_glyphs, render_glyphs
 
@@ -11,6 +16,19 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+def directives(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, key, value)`` for each line left once ``#`` comments and blank lines are cut.
+
+    The line splits on its first ``:``, both sides stripped; a line without
+    one is all key, with an empty value.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition(":")
+            yield lineno, key.strip(), value.strip()
 
 
 def parse_system(text: str) -> MultiwaySystem:
@@ -28,45 +46,30 @@ def parse_system(text: str) -> MultiwaySystem:
     checks: list[tuple[str, int, str]] = []  # (encoded, line, description)
     rules: list[Rule] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError("expected 'alphabet:', 'init:' or 'rule:'", lineno)
-        key = key.strip()
-        value = value.strip()
-        if key == "alphabet":
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line", lineno)
-            try:
+    for lineno, key, value in directives(text):
+        try:
+            if key == "alphabet":
+                if alphabet is not None:
+                    raise ParseError("duplicate alphabet line", lineno)
                 alphabet = Alphabet.parse(value)
-            except GlyphError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        elif key == "init":
-            if init is not None:
-                raise ParseError("duplicate init line", lineno)
-            try:
+            elif key == "init":
+                if init is not None:
+                    raise ParseError("duplicate init line", lineno)
                 init = parse_glyphs(value)
-            except GlyphError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            checks.append((init, lineno, "init"))
-        elif key == "rule":
-            lhs_text, arrow, rhs_text = value.partition("->")
-            if not arrow:
-                raise ParseError("rule needs '->'", lineno)
-            try:
-                lhs = parse_glyphs(lhs_text.strip())
-                rhs = parse_glyphs(rhs_text.strip())
-            except GlyphError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if not lhs:
-                raise ParseError("rule with empty left-hand side", lineno)
-            checks.append((lhs + rhs, lineno, "rule"))
-            rules.append(Rule(lhs, rhs))
-        else:
-            raise ParseError(f"unknown key {key!r}", lineno)
+                checks.append((init, lineno, "init"))
+            elif key == "rule":
+                lhs_text, arrow, rhs_text = value.partition("->")
+                if not arrow:
+                    raise ParseError("rule needs '->'", lineno)
+                lhs, rhs = parse_glyphs(lhs_text.strip()), parse_glyphs(rhs_text.strip())
+                if not lhs:
+                    raise ParseError("rule with empty left-hand side", lineno)
+                checks.append((lhs + rhs, lineno, "rule"))
+                rules.append(Rule(lhs, rhs))
+            else:
+                raise ParseError(f"expected 'alphabet:', 'init:' or 'rule:', got {key!r}", lineno)
+        except GlyphError as exc:
+            raise ParseError(str(exc), lineno) from exc
 
     if init is None:
         raise ParseError("missing init line")

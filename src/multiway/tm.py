@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .analysis import occurrence_sequence
 from .core import MultiwaySystem, make_system
-from .rulefiles import ParseError
+from .rulefiles import ParseError, directives
 
 LEFT = "L"
 RIGHT = "R"
@@ -362,7 +362,7 @@ def build_binary_counter() -> TuringMachine:
 # Machine files
 
 
-_TM_HEADER_RE = re.compile(r"states:\s*(\d+)\s+halting:\s*\{([^}]*)\}\s*$")
+_TM_HEADER_RE = re.compile(r"(\d+)\s+halting:\s*\{([^}]*)\}$")  # after "states:"
 _TM_DELTA_RE = re.compile(
     r"\(\s*(\d+)\s*,\s*([^,\s()]+)\s*\)\s*->\s*"
     r"\(\s*([^,\s()]+)\s*,\s*([LR])\s*,\s*(\d+)\s*\)\s*$"
@@ -384,16 +384,11 @@ def parse_tm(text: str) -> TuringMachine:
     blank = "0"
     blank_seen = False
     transitions: dict[tuple[int, str], Transition] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
+    for lineno, key, rest in directives(text):
         if key == "states":
             if n_states is not None:
                 raise ParseError("duplicate states line", lineno)
-            match = _TM_HEADER_RE.match(line)
+            match = _TM_HEADER_RE.match(rest)
             if not match:
                 raise ParseError("expected 'states: n halting: {...}'", lineno)
             n_states = int(match.group(1))

@@ -55,11 +55,24 @@ def polynomial(width: int = 3) -> MultiwaySystem:
     return make_system([("A", "AB")], "A" * width)
 
 
-def exponential(branching: int = 3) -> MultiwaySystem:
-    """Pure branching: ``branching``^d states at distance d."""
+def _letters(branching: int) -> str:
+    """The first ``branching`` lowercase letters: one per choice of a branching step."""
     if not 1 <= branching <= 26:
         raise ValueError("branching must be in 1..26")
-    letters = string.ascii_lowercase[:branching]
+    return string.ascii_lowercase[:branching]
+
+
+def _shuttle(letters: str) -> list[tuple[str, str]]:
+    """The fence shuttle's rules: at either T fence, turn and write one of ``letters``."""
+    rules: list[tuple[str, str]] = []
+    for c in letters:
+        rules += [("TL", f"T{c}R"), ("RT", f"L{c}T"), (f"R{c}", f"{c}R"), (f"{c}L", f"L{c}")]
+    return rules
+
+
+def exponential(branching: int = 3) -> MultiwaySystem:
+    """Pure branching: ``branching``^d states at distance d."""
+    letters = _letters(branching)
     rules = [("Q", f"Q{c}") for c in letters]
     return make_system(rules, "Q", alphabet="Q" + letters)
 
@@ -72,18 +85,8 @@ def intermediate(branching: int = 3) -> MultiwaySystem:
     traversal takes j more layers than the previous one.  Layer counts are
     branching^w(d) with w(d) ~ sqrt(2 d) completed traversals.
     """
-    if not 1 <= branching <= 26:
-        raise ValueError("branching must be in 1..26")
-    letters = string.ascii_lowercase[:branching]
-    rules: list[tuple[str, str]] = []
-    for c in letters:
-        rules += [
-            ("TL", f"T{c}R"),
-            ("RT", f"L{c}T"),
-            (f"R{c}", f"{c}R"),
-            (f"{c}L", f"L{c}"),
-        ]
-    return make_system(rules, "TLT", alphabet="TLR" + letters)
+    letters = _letters(branching)
+    return make_system(_shuttle(letters), "TLT", alphabet="TLR" + letters)
 
 
 def inverse_polynomial() -> MultiwaySystem:
@@ -93,15 +96,7 @@ def inverse_polynomial() -> MultiwaySystem:
     turning points: every completed traversal spawns one immortal counting
     lineage, so layer d holds 1 + w(d) states with w(d) ~ sqrt(2 d).
     """
-    rules = [
-        ("TL", "TaR"),
-        ("RT", "LaT"),
-        ("Ra", "aR"),
-        ("aL", "La"),
-        ("TL", "[z]"),
-        ("RT", "[z]"),
-        ("[z]", "[z][z]"),
-    ]
+    rules = _shuttle("a") + [("TL", "[z]"), ("RT", "[z]"), ("[z]", "[z][z]")]
     return make_system(rules, "TLT", alphabet="TLRa[z]")
 
 
@@ -120,11 +115,9 @@ def burst(branching: int = 3, lifetime: int = 4) -> MultiwaySystem:
     A runner eats one A per layer, making a ``branching``-way choice each
     time; after ``lifetime`` layers there is nothing left to eat.
     """
-    if not 1 <= branching <= 26:
-        raise ValueError("branching must be in 1..26")
+    letters = _letters(branching)
     if lifetime < 1:
         raise ValueError("lifetime must be positive")
-    letters = string.ascii_lowercase[:branching]
     rules = [("RA", f"{c}R") for c in letters]
     return make_system(rules, "R" + "A" * lifetime, alphabet="RA" + letters)
 

@@ -255,6 +255,19 @@ def test_isomorphism_reports_truncation_before_horizons():
     assert len(g1.layers) < len(g2.layers)
     with pytest.raises(ValueError, match="truncated.*more than 3 states"):
         layered_isomorphic(g1, g2)
+    with pytest.raises(ValueError, match="truncated.*more than 3 states"):
+        algebra._map_fails_at(g1, g2, g1.states)
+
+
+# FORK's graphs to horizons 2 and 3 agree on their shared layers; SHUTTLE's do not
+@pytest.mark.parametrize("system", [FORK, SHUTTLE], ids=["shared-agree", "shared-differ"])
+def test_comparisons_reject_different_horizons(system):
+    g, other = evolve(FORK, 2), evolve(system, 3)
+    for g1, g2 in ((g, other), (other, g)):
+        with pytest.raises(ValueError, match="^graphs must be evolved to the same horizon$"):
+            layered_isomorphic(g1, g2)
+        with pytest.raises(ValueError, match="^graphs must be evolved to the same horizon$"):
+            algebra._map_fails_at(g1, g2, g1.states)
 
 
 def test_truncated_is_read_off_the_reason():
@@ -265,7 +278,7 @@ def test_truncated_is_read_off_the_reason():
     with pytest.raises(AttributeError):
         cut.truncated = False
     with pytest.raises(ValueError, match="truncated.*more than 1 states"):
-        algebra._require_complete(complete, cut)
+        algebra._require_comparable(complete, cut)
 
 
 def test_independence_rejects_truncated_graphs(monkeypatch):
@@ -629,23 +642,16 @@ def test_unknown_identity_is_rejected():
         verify_semiring_identity("sum-inverse", SYS_AB)
 
 
-# one operand too few or too many, as far as m1 (required) and m3 (last) allow
+# one operand too few or too many
 @pytest.mark.parametrize(
     "identity, given",
-    [(i, n) for i, arity in IDENTITY_ARITY.items() for n in (arity - 1, arity + 1) if 1 <= n <= 3],
+    [(i, n) for i, arity in IDENTITY_ARITY.items() for n in (arity - 1, arity + 1)],
 )
 def test_identity_operand_count_is_checked(identity, given):
-    operands = (SYS_AB, SYS_CD, SYS_BRANCH)[:given]
+    operands = (SYS_AB, SYS_CD, SYS_BRANCH, SHUTTLE)[:given]
     message = rf"^{identity} takes {IDENTITY_ARITY[identity]} operand\(s\), got {given}$"
     with pytest.raises(ValueError, match=message):
         verify_semiring_identity(identity, *operands)
-
-
-@pytest.mark.parametrize("identity", ["sum-comm", "prod-comm"])
-def test_identity_operands_are_checked_by_position(identity):
-    # two operands, but m3 stands where m2 belongs
-    with pytest.raises(ValueError, match=rf"^{identity} takes its 2 operand\(s\) as m1 to m2$"):
-        verify_semiring_identity(identity, SYS_AB, None, SYS_CD)
 
 
 def test_sum_commutes_by_signature():

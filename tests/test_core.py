@@ -624,6 +624,19 @@ def test_evolve_builds_no_edge_until_edges_are_read(monkeypatch):
     assert unrecorded.edges == [] and len(built) == len(edges)  # never derived
 
 
+def test_printing_and_comparing_derive_no_edges(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edges derived")
+
+    m = make_system([("A", "AB"), ("B", "A")], "A")
+    g, h, shorter = evolve(m, 5), evolve(m, 5), evolve(m, 4)
+    # the edges reader, and the rule plans that any derivation starts from
+    monkeypatch.setattr(core, "_read_edges", refuse)
+    monkeypatch.setattr(core, "_rule_plans", refuse)
+    assert "_edges" not in repr(g) and "AB" in repr(g)
+    assert g == h and g != shorter
+
+
 def test_explicit_edges_are_returned_as_given():
     m = make_system([("A", "AB")], "A")
     explicit = [Edge(1, 0, 3, 7)]  # no rewrite of the system: a derivation would not give it

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from multiway import make_system
-from multiway.rulefiles import ParseError, format_system, parse_system
+from multiway.rulefiles import ParseError, directives, format_system, parse_system
 
 SAMPLE = """\
 # three rules, one of them deleting
@@ -71,12 +71,26 @@ def test_duplicate_rules_dropped():
         ("alphabet: A\ninit: AB\n", 2),  # init outside alphabet
         ("alphabet: A\ninit: A\nrule: A -> B\n", 3),  # rhs outside alphabet
         ("init: [broken\n", 1),
+        ("init: A\nalphabet: A[broken\n", 2),
+        ("init: A\nrule: A -> [broken\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse_system(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("line, key", [("foo: bar", "foo"), ("just words", "just words")])
+def test_unknown_and_keyless_lines_share_one_message(line, key):
+    message = rf"^line 2: expected 'alphabet:', 'init:' or 'rule:', got '{key}'$"
+    with pytest.raises(ParseError, match=message):
+        parse_system(f"init: A\n{line}\n")
+
+
+def test_directives_cut_comments_and_blank_lines():
+    text = "# header\n\n  key : a: b  # trailing\n   \nbare words\n"
+    assert list(directives(text)) == [(3, "key", "a: b"), (5, "bare words", "")]
 
 
 def test_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiway.core import evolve, render_glyphs
-from multiway.rulefiles import format_system
+from multiway.rulefiles import ParseError, format_system
 from multiway.tm import (
     HaltingFunctionMeasurement,
     TuringMachine,
@@ -17,6 +17,7 @@ from multiway.tm import (
     compile_tm,
     enchain,
     expected_growth,
+    parse_tm,
     step_tm,
     tm_input_state,
     validate_t_halter,
@@ -156,6 +157,44 @@ def test_compiled_run_locksteps_the_machine(n):
         assert [render_glyphs(s) for s in graph.layer_strings(d)] == [want]
     # the halting configuration has no successors: the chain goes extinct
     assert graph.layer_strings(len(chain)) == []
+
+
+# ---------------------------------------------------------------------------
+# Machine files
+
+HEADER = "states: 3 halting: {3}\n"
+DELTA = "delta: (1, 1) -> (1, R, 1)\n"
+INCREMENTER_MACHINE = f"""\
+{HEADER}blank: 0
+{DELTA}delta: (1, 0) -> (1, L, 2)
+delta: (2, 1) -> (1, L, 2)
+delta: (2, 0) -> (0, R, 3)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (HEADER + HEADER, 2),
+        (HEADER + "blank: 0\nblank: 1\n", 3),
+        (HEADER + "blank:\n", 2),  # no symbol
+        (HEADER + "delta: (1, 1) -> oops\n", 2),
+        (HEADER + DELTA + DELTA, 3),  # duplicate transition
+        (HEADER + "tape: 01\n", 2),  # unknown directive
+        (HEADER + "just words\n", 2),  # no key
+        ("states: 3 halting: {x}\n", 1),
+        (DELTA, None),  # missing header
+    ],
+)
+def test_machine_file_errors_carry_line_numbers(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_tm(text)
+    assert err.value.line == line
+
+
+def test_machine_file_skips_comments_and_blank_lines():
+    commented = "# the unary incrementer\n\n" + INCREMENTER_MACHINE.replace("\n", "  # note\n\n   \n", 2)
+    assert parse_tm(commented) == parse_tm(INCREMENTER_MACHINE) == build_incrementer()
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
 from multiway import zoo
 from multiway.analysis import classify
-from multiway.core import MultiwaySystem, evolve, growth_series
+from multiway.core import MultiwaySystem, evolve, growth_series, make_system
+from multiway.rulefiles import format_system
 from multiway.tm import build_binary_counter, enchain
 from multiway.zoo import ZOO
+
+# every entry's default system as a rule file, headed by its name
+ZOO_SYSTEMS = Path(__file__).parent / "data" / "zoo_systems.txt"
 
 
 def layer_counts(system: MultiwaySystem, horizon: int) -> list[int]:
@@ -85,6 +90,34 @@ def test_burst_validation():
         zoo.burst(branching=0)
     with pytest.raises(ValueError, match="lifetime"):
         zoo.burst(lifetime=0)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [(zoo.exponential, (0,)), (zoo.intermediate, (27,)), (zoo.burst, (0, 4)), (zoo.burst, (0, 0))],
+)
+def test_branching_validation(build, args):
+    # burst checks branching before lifetime
+    with pytest.raises(ValueError, match=r"^branching must be in 1\.\.26$"):
+        build(*args)
+
+
+def test_zoo_rule_files_are_byte_stable():
+    emitted = "".join(format_system(entry.build(), header=[name]) for name, entry in ZOO.items())
+    assert emitted == ZOO_SYSTEMS.read_text(encoding="utf-8")
+
+
+def test_shuttle_rules_in_order():
+    shuttle = [("TL", "TaR"), ("RT", "LaT"), ("Ra", "aR"), ("aL", "La")]
+    assert zoo.intermediate(3) == make_system(
+        shuttle
+        + [("TL", "TbR"), ("RT", "LbT"), ("Rb", "bR"), ("bL", "Lb")]
+        + [("TL", "TcR"), ("RT", "LcT"), ("Rc", "cR"), ("cL", "Lc")],
+        "TLT",
+        alphabet="TLRabc",
+    )
+    taps = [("TL", "[z]"), ("RT", "[z]"), ("[z]", "[z][z]")]
+    assert zoo.inverse_polynomial() == make_system(shuttle + taps, "TLT", alphabet="TLRa[z]")
 
 
 def test_log_system_is_the_chained_counter():
