@@ -20,10 +20,14 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import evolve, export_dot, growth_series
+from .core import StatesGraph, evolve, export_dot, growth_series
 from .rulefiles import ParseError, format_system, parse_system
+
+if TYPE_CHECKING:
+    from .zoo import ZooEntry
 
 # algebra, analysis, tm and zoo are imported by the commands that run them,
 # so start-up pays only for core and rulefiles
@@ -71,8 +75,9 @@ def _config(command: str, args: argparse.Namespace, *names: str) -> dict:
     return {"command": command, **{name: getattr(args, name) for name in names}}
 
 
-def _config_json(config: dict) -> str:
-    return json.dumps(config, separators=(", ", ": "))
+def _header(config: dict, *extra: str) -> list[str]:
+    """The lines every text output starts with, before its comment marks."""
+    return [TOOL_LINE, f"config: {json.dumps(config, separators=(', ', ': '))}", *extra]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,20 +95,40 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _evolve(args: argparse.Namespace, record_edges: bool) -> StatesGraph:
+    """Evolve ``args.rules`` for ``args.horizon`` generations within ``args.budget``.
+
+    An unset budget is resolved from $MULTIWAY_BUDGET or the default and
+    stored back, before the file is read, so the run configuration shows it.
+    """
+    if args.budget is None:
+        args.budget = _default_budget()
+    system = parse_system(_read_file(args.rules))
+    # --horizon counts generations (rows), the library counts distances
+    return evolve(system, args.horizon - 1, max_states=args.budget, record_edges=record_edges)
+
+
+def _zoo_doc(entry: ZooEntry, **params: list[int]) -> dict:
+    """A zoo entry as JSON; ``params``, if given, comes right after the name."""
+    return {
+        "name": entry.name,
+        **params,
+        "expected": entry.expected,
+        "classify_horizon": entry.classify_horizon,
+        "closed_form": entry.closed_form,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    system = parse_system(_read_file(args.rules))
-    # --horizon counts generations (rows), the library counts distances.
-    # Only DOT output reads the edges.
-    graph = evolve(
-        system, args.horizon - 1, max_states=args.budget, record_edges=args.format == "dot"
-    )
-    series = growth_series(graph)
+    # only DOT output reads the edges, and only CSV and JSON the growth series
+    graph = _evolve(args, record_edges=args.format == "dot")
     config = _config("simulate", args, "rules", "horizon", "budget", "format")
     if args.format == "json":
+        series = growth_series(graph)
         rows = [
             {"d": d, "generation": d + 1, "count": count, "maxlen": maxlen}
             for d, (count, maxlen) in enumerate(zip(series.counts, series.max_len))
@@ -117,30 +142,24 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         _emit(_json_doc(config, payload), args.out)
         return EXIT_OK
 
+    truncated = [f"truncated: {graph.truncation_reason}"] if graph.truncated else []
     if args.format == "dot":
-        lines = [f"// {TOOL_LINE}", f"// config: {_config_json(config)}"]
-        if graph.truncated:
-            lines.append(f"// truncated: {graph.truncation_reason}")
-        _emit("\n".join(lines) + "\n" + export_dot(graph), args.out)
-        return EXIT_RESOURCE if graph.truncated else EXIT_OK
-
-    lines = [f"# {TOOL_LINE}", f"# config: {_config_json(config)}", f"# {GENERATION_NOTE}"]
-    if graph.truncated:
-        lines.append(f"# truncated: {graph.truncation_reason}")
-    lines.append("d,count,maxlen")
-    lines.extend(
-        f"{d},{count},{maxlen}"
-        for d, (count, maxlen) in enumerate(zip(series.counts, series.max_len))
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+        mark, header, body = "// ", _header(config, *truncated), export_dot(graph)
+    else:
+        series = growth_series(graph)
+        mark, header = "# ", _header(config, GENERATION_NOTE, *truncated)
+        body = "d,count,maxlen\n" + "".join(
+            f"{d},{count},{maxlen}\n"
+            for d, (count, maxlen) in enumerate(zip(series.counts, series.max_len))
+        )
+    _emit("".join(f"{mark}{line}\n" for line in header) + body, args.out)
     return EXIT_RESOURCE if graph.truncated else EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .analysis import classify
 
-    system = parse_system(_read_file(args.rules))
-    graph = evolve(system, args.horizon - 1, max_states=args.budget, record_edges=False)
+    graph = _evolve(args, record_edges=False)
     series = growth_series(graph)
     report = classify(series)
     config = _config("classify", args, "rules", "horizon", "budget")
@@ -169,7 +188,7 @@ def cmd_compile_tm(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     else:
         system = compile_tm(machine, input_n=args.input)
     config = _config("compile-tm", args, "machine", "enchain", "input")
-    _emit(format_system(system, header=[TOOL_LINE, f"config: {_config_json(config)}"]), args.out)
+    _emit(format_system(system, header=_header(config)), args.out)
     return EXIT_OK
 
 
@@ -197,13 +216,8 @@ def cmd_combine(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         "fresh_symbol": combined.fresh_symbol,
         "translation": combined.translation,
     }
-    _emit(
-        format_system(
-            combined.system,
-            header=[TOOL_LINE, f"config: {_config_json(config)}", f"provenance: {sidecar}"],
-        ),
-        args.out,
-    )
+    header = _header(config, f"provenance: {sidecar}")
+    _emit(format_system(combined.system, header=header), args.out)
     _emit(_json_doc(config, payload), sidecar)
     return EXIT_OK
 
@@ -214,19 +228,11 @@ def cmd_zoo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.action == "list":
         config = _config("zoo list", args, "format")
         if args.format == "json":
-            entries = [
-                {
-                    "name": e.name,
-                    "expected": e.expected,
-                    "classify_horizon": e.classify_horizon,
-                    "closed_form": e.closed_form,
-                }
-                for e in ZOO.values()
-            ]
+            entries = [_zoo_doc(e) for e in ZOO.values()]
             _emit(_json_doc(config, {"entries": entries}), args.out)
             return EXIT_OK
         width = max(len(name) for name in ZOO)
-        lines = [f"# {TOOL_LINE}", f"# config: {_config_json(config)}"]
+        lines = [f"# {line}" for line in _header(config)]
         lines.extend(
             f"{e.name:<{width}}  {e.expected:<12} horizon {e.classify_horizon}"
             for e in ZOO.values()
@@ -243,21 +249,8 @@ def cmd_zoo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"wrong number of parameters for {args.name!r}")
     config = _config("zoo emit", args, "name", "params")
     manifest_path = args.out + ".manifest.json"
-    manifest = {
-        "name": entry.name,
-        "params": args.params,
-        "expected": entry.expected,
-        "classify_horizon": entry.classify_horizon,
-        "closed_form": entry.closed_form,
-    }
-    _emit(
-        format_system(
-            system,
-            header=[TOOL_LINE, f"config: {_config_json(config)}", f"manifest: {manifest_path}"],
-        ),
-        args.out,
-    )
-    _emit(_json_doc(config, manifest), manifest_path)
+    _emit(format_system(system, header=_header(config, f"manifest: {manifest_path}")), args.out)
+    _emit(_json_doc(config, _zoo_doc(entry, params=args.params)), manifest_path)
     return EXIT_OK
 
 
@@ -346,8 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-            args.budget = _default_budget()
         return args.func(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -209,7 +209,7 @@ class Edge(NamedTuple):
     pos: int
 
 
-@dataclass
+@dataclass(repr=False)
 class StatesGraph:
     """Layered derivation graph produced by :func:`evolve`.
 
@@ -226,13 +226,23 @@ class StatesGraph:
     and kept; a list given explicitly is returned as it is.  Neither
     ``repr`` nor ``==`` reads it.  ``truncation_reason`` says which budget
     stopped the evolution, or is None; ``truncated`` is read off it.
+    ``repr`` shows the system and sizes, not the states, so its length does
+    not grow with the evolution.
     """
 
     system: MultiwaySystem
     states: list[str]
     layers: list[Sequence[StateId]]
-    _edges: list[Edge] | None = field(repr=False, compare=False)  # read through ``edges``
+    _edges: list[Edge] | None = field(compare=False)  # read through ``edges``
     truncation_reason: str | None = None
+
+    def __repr__(self) -> str:
+        reason = self.truncation_reason
+        tail = "" if reason is None else f", truncation_reason={reason!r}"
+        return (
+            f"StatesGraph(system={self.system!r}, states={len(self.states)}, "
+            f"layers={len(self.layers)}{tail})"
+        )
 
     @property
     def edges(self) -> list[Edge]:

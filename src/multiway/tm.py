@@ -201,9 +201,7 @@ def validate_t_halter(
     for n in inputs:
         cfg = tm_input_state(tm, n)
         count = 1
-        while cfg.state not in tm.halting:
-            nxt = step_tm(tm, cfg)
-            assert nxt is not None
+        while (nxt := step_tm(tm, cfg)) is not None:
             cfg, count = nxt, count + 1
             if count > budget:
                 out.constraint_violations.append(
@@ -295,10 +293,7 @@ def expected_growth(
     if len(variants) != 1:
         raise ValueError(f"halt positions are mixed or missing: {sorted(variants)}")
     variant = variants.pop()
-    if variant == "on-first":
-        shuttle = lambda n: 2 * (n + 1) + 1  # noqa: E731
-    else:
-        shuttle = lambda n: 2 * (n + 2)  # noqa: E731
+    turn = 3 if variant == "on-first" else 4
 
     costs: list[int] = []
     total = 0
@@ -306,7 +301,7 @@ def expected_growth(
     while total <= horizon:
         if n not in measurement.values:
             raise ValueError(f"horizon {horizon} needs T({n}); measure more inputs")
-        costs.append(measurement.values[n] + shuttle(n))
+        costs.append(measurement.values[n] + 2 * n + turn)
         total += costs[-1]
         n += 1
     return list(occurrence_sequence(costs, length=horizon + 1).values)
@@ -392,7 +387,8 @@ def parse_tm(text: str) -> TuringMachine:
             if not match:
                 raise ParseError("expected 'states: n halting: {...}'", lineno)
             n_states = int(match.group(1))
-            names = [p.strip() for p in match.group(2).split(",") if p.strip()]
+            body = match.group(2).strip()
+            names = [p.strip() for p in body.split(",")] if body else []
             if not all(p.isdigit() for p in names):
                 raise ParseError("halting states must be integers", lineno)
             halting = frozenset(int(p) for p in names)

@@ -294,6 +294,14 @@ def test_budget_env_var(write_file, capsys, monkeypatch):
     assert main(["simulate", write_file(EXP3)]) == 4
 
 
+def test_budget_flag_wins_over_env_var(write_file, capsys, monkeypatch):
+    monkeypatch.setenv("MULTIWAY_BUDGET", "bogus")
+    args = ["simulate", write_file(EXP3), "--horizon", "9", "--format", "json", "--budget", "50"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == 50
+    assert main(["zoo", "list"]) == 0  # takes no budget, so never reads the variable
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "multiway 0.1.0"

@@ -637,6 +637,12 @@ def test_printing_and_comparing_derive_no_edges(monkeypatch):
     assert g == h and g != shorter
 
 
+def test_repr_does_not_grow_with_the_evolution():
+    assert len(repr(evolve(zoo.exponential(3), 8))) < 500  # 9,841 states
+    cut = evolve(zoo.exponential(3), 8, max_states=10)
+    assert "states=4, layers=2" in repr(cut) and cut.truncation_reason in repr(cut)
+
+
 def test_explicit_edges_are_returned_as_given():
     m = make_system([("A", "AB")], "A")
     explicit = [Edge(1, 0, 3, 7)]  # no rewrite of the system: a derivation would not give it

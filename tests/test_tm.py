@@ -183,6 +183,8 @@ delta: (2, 0) -> (0, R, 3)
         (HEADER + "tape: 01\n", 2),  # unknown directive
         (HEADER + "just words\n", 2),  # no key
         ("states: 3 halting: {x}\n", 1),
+        ("states: 3 halting: {,2,,}\n", 1),  # empty names between commas
+        ("states: 3 halting: {2,}\n", 1),
         (DELTA, None),  # missing header
     ],
 )
@@ -190,6 +192,12 @@ def test_machine_file_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse_tm(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("braces", ["{}", "{ }"])
+def test_machine_file_empty_halting_set(braces):
+    machine = parse_tm(f"states: 1 halting: {braces}\ndelta: (1, 0) -> (0, R, 1)\n")
+    assert machine.halting == frozenset()
 
 
 def test_machine_file_skips_comments_and_blank_lines():
