@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Alphabet,
     MultiwaySystem,
     Rule,
     StatesGraph,
+    _edge_rows,
     evolve,
     intern_token,
     render_glyphs,
@@ -183,26 +185,54 @@ def _map_fails_at(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> int | 
     onto g2's (parallel rewrites collapse, as in :func:`layered_isomorphic`).
     Layer d fails when its sizes differ, when its states' images are not g2's
     states there, or when the images of the simple edges whose later endpoint
-    lies in it are not g2's such edges.  O(V + E).  Truncated graphs and
-    graphs of different horizons raise ``ValueError``.
+    lies in it are not g2's such edges.  O(V + E) time.  The edges are read
+    as rows, g2's through the index that maps the images, and each layer's
+    edges are held only until that layer is compared, so no :class:`Edge`
+    is built and the memory is the states' plus a few layers' edges.
+    Truncated graphs and graphs of different horizons raise ``ValueError``.
     """
     _require_comparable(g1, g2)
     index = {s: w for w, s in enumerate(g2.states)}
     phi = [index.get(s, -1) for s in images]  # -1: not a state of g2
-
-    def edges_by_layer(graph: StatesGraph, ids: list[int]) -> list[set[tuple[int, int]]]:
-        dist = graph.state_distances()
-        filed: list[set[tuple[int, int]]] = [set() for _ in graph.layers]
-        for u, v, _, _ in graph.edges:
-            du, dv = dist[u], dist[v]  # the later endpoint's; max() made the check 1.6x slower
-            filed[du if du > dv else dv].add((ids[u], ids[v]))
-        return filed
-
-    edges1, edges2 = edges_by_layer(g1, phi), edges_by_layer(g2, list(range(len(g2.states))))
-    for d, (a, b) in enumerate(zip(g1.layers, g2.layers)):
-        if len(a) != len(b) or {phi[v] for v in a} != set(b) or edges1[d] != edges2[d]:
+    width = len(g2.states) + 1  # ids run from -1 to len - 1, so a key names one pair
+    edges1 = _edges_by_later_layer(g1, phi, width)
+    edges2 = _edges_by_later_layer(g2, range(width - 1), width, index)
+    for d, (a, b, e1, e2) in enumerate(zip(g1.layers, g2.layers, edges1, edges2)):
+        if len(a) != len(b) or {phi[v] for v in a} != set(b) or e1 != e2:
             return d
     return None
+
+
+def _edges_by_later_layer(
+    graph: StatesGraph,
+    ids: Sequence[int],
+    width: int,
+    index: dict[str, int] | None = None,
+) -> Iterator[set[int]]:
+    """For each layer in turn, the keys ``ids[u] * width + ids[v]`` of the
+    edges u -> v whose later endpoint lies in it.
+
+    A row files at or after its source's layer, and derived rows come in
+    the order of their sources' layers, so a layer is yielded, and dropped
+    here, as soon as a row from a later source arrives.  A list given by
+    hand may come in any order, so it is sorted by source layer first.
+    """
+    dist = graph.state_distances()
+    rows: Iterable[tuple[int, int, int, int]] = _edge_rows(graph, index)
+    if graph._edges is not None:
+        rows = sorted(rows, key=lambda row: dist[row[0]])
+    filed: list[set[int] | None] = [set() for _ in graph.layers]
+    done = 0  # layers below this are yielded: no later row lands there
+    for u, v, _, _ in rows:
+        du, dv = dist[u], dist[v]  # the later endpoint's; max() made the check 1.6x slower
+        while done < du:
+            yield filed[done]
+            filed[done] = None
+            done += 1
+        filed[du if du > dv else dv].add(ids[u] * width + ids[v])
+    for d in range(done, len(filed)):
+        yield filed[d]
+        filed[d] = None
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +279,9 @@ def reduce_to_binary(m: MultiwaySystem) -> CombinedSystem:
 def _simple_adjacency(graph: StatesGraph) -> tuple[list[set[int]], list[set[int]]]:
     fwd: list[set[int]] = [set() for _ in graph.states]
     back: list[set[int]] = [set() for _ in graph.states]
-    for e in graph.edges:
-        fwd[e.src].add(e.dst)
-        back[e.dst].add(e.src)
+    for u, v, _, _ in _edge_rows(graph):
+        fwd[u].add(v)
+        back[v].add(u)
     return fwd, back
 
 

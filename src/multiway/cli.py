@@ -19,11 +19,12 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from .core import StatesGraph, evolve, export_dot, growth_series
+from .core import StatesGraph, _cut_at_edges, _dot_lines, evolve, growth_series
 from .rulefiles import ParseError, format_system, parse_system
 
 if TYPE_CHECKING:
@@ -80,11 +81,14 @@ def _header(config: dict, *extra: str) -> list[str]:
     return [TOOL_LINE, f"config: {json.dumps(config, separators=(', ', ': '))}", *extra]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each string of an iterable as it is made, to ``out`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _json_doc(config: dict, payload: dict) -> str:
@@ -142,17 +146,19 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         _emit(_json_doc(config, payload), args.out)
         return EXIT_OK
 
-    truncated = [f"truncated: {graph.truncation_reason}"] if graph.truncated else []
     if args.format == "dot":
-        mark, header, body = "// ", _header(config, *truncated), export_dot(graph)
+        graph = _cut_at_edges(graph, args.budget)  # the budget caps the edges written too
+        mark, notes, body = "// ", [], _dot_lines(graph)
     else:
         series = growth_series(graph)
-        mark, header = "# ", _header(config, GENERATION_NOTE, *truncated)
-        body = "d,count,maxlen\n" + "".join(
+        mark, notes = "# ", [GENERATION_NOTE]
+        body = ["d,count,maxlen\n"] + [
             f"{d},{count},{maxlen}\n"
             for d, (count, maxlen) in enumerate(zip(series.counts, series.max_len))
-        )
-    _emit("".join(f"{mark}{line}\n" for line in header) + body, args.out)
+        ]
+    if graph.truncated:
+        notes.append(f"truncated: {graph.truncation_reason}")
+    _emit(chain((f"{mark}{line}\n" for line in _header(config, *notes)), body), args.out)
     return EXIT_RESOURCE if graph.truncated else EXIT_OK
 
 
@@ -277,7 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=_int_at_least(1),
             default=None,
-            help=f"state cap; default {DEFAULT_BUDGET} or ${BUDGET_ENV_VAR}",
+            help=(
+                f"state cap, and for DOT output also an edge cap; "
+                f"default {DEFAULT_BUDGET} or ${BUDGET_ENV_VAR}"
+            ),
         )
         p.add_argument("--out", help="output file (default stdout)")
 

@@ -6,6 +6,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
@@ -223,8 +224,10 @@ class StatesGraph:
     already-known states, in that same order.  Given as None (as
     :func:`evolve` does) it is derived from ``system``, ``states`` and
     ``layers`` when first read, by one more matching pass over those states,
-    and kept; a list given explicitly is returned as it is.  Neither
-    ``repr`` nor ``==`` reads it.  ``truncation_reason`` says which budget
+    and kept; a list given explicitly is returned as it is.  The graph
+    comparisons in ``algebra`` and :func:`export_dot` never read ``edges``:
+    they take the same edges as a stream of rows and keep none of them.
+    Neither ``repr`` nor ``==`` reads it.  ``truncation_reason`` says which budget
     stopped the evolution, or is None; ``truncated`` is read off it.
     ``repr`` shows the system and sizes, not the states, so its length does
     not grow with the evolution.
@@ -372,25 +375,43 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
     return groups
 
 
-def _read_edges(graph: StatesGraph) -> list[Edge]:
-    """``graph.edges``: the list given, or else one :class:`Edge` per match in
-    each state of ``layers[:-1]``, in discovery order, derived once and kept.
+def _edge_rows(
+    graph: StatesGraph, index: dict[str, StateId] | None = None
+) -> Iterator[tuple[StateId, StateId, int, int]]:
+    """``(src, dst, rule, pos)`` for each edge of ``graph``, in discovery order.
 
-    Those layers are the frontiers :func:`evolve` expanded and kept: the last
-    is where it stopped, and a budget drops the layer being built together
-    with the rewrites that found it.
+    The list given or already read is yielded as it is.  Otherwise the rows
+    are derived, one per match in each state of ``layers[:-1]``, by one
+    matching pass that looks results up in ``index`` (``{state: id}``, built
+    here when not given) and keeps nothing, so a reader that files or writes
+    each row as it comes never holds all the edges at once.
+    """
+    if graph._edges is not None:
+        yield from graph._edges
+        return
+    plans = _rule_plans(graph.system)
+    states = graph.states
+    if index is None:
+        index = {s: i for i, s in enumerate(states)}
+    for layer in graph.layers[:-1]:
+        for u in layer:
+            for t, ri, positions in _rewrite_groups(plans, states[u]):
+                v = index[t]
+                for pos in positions:
+                    yield u, v, ri, pos
+
+
+def _read_edges(graph: StatesGraph) -> list[Edge]:
+    """``graph.edges``: the list given, or else one :class:`Edge` per row of
+    :func:`_edge_rows`, derived on first read and kept.
+
+    The rows come from the states of ``layers[:-1]``, the frontiers
+    :func:`evolve` expanded and kept: the last layer is where it stopped,
+    and a budget drops the layer being built together with the rewrites
+    that found it.
     """
     if graph._edges is None:
-        plans = _rule_plans(graph.system)
-        index = {s: i for i, s in enumerate(graph.states)}
-        edges: list[Edge] = []
-        for layer in graph.layers[:-1]:
-            for u in layer:
-                for t, ri, positions in _rewrite_groups(plans, graph.states[u]):
-                    v = index[t]
-                    for pos in positions:
-                        edges.append(Edge(u, v, ri, pos))
-        graph._edges = edges
+        graph._edges = [Edge(*row) for row in _edge_rows(graph)]
     return graph._edges
 
 
@@ -587,18 +608,43 @@ def growth_series(graph: StatesGraph) -> GrowthSeries:
 # Export
 
 
-def export_dot(graph: StatesGraph) -> str:
-    """Graphviz DOT text: node ``n<i>`` is state id ``i``; nodes and edges in discovery order."""
+def _dot_lines(graph: StatesGraph) -> Iterator[str]:
+    """The lines of :func:`export_dot`, each with its newline, made one at a time."""
 
     def quoted(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = ["digraph multiway {"]
+    yield "digraph multiway {\n"
     for d, layer in enumerate(graph.layers):
         for sid in layer:
-            label = quoted(render_glyphs(graph.states[sid]))
-            lines.append(f"  n{sid} [label={label}, layer={d}];")
-    for e in graph.edges:
-        lines.append(f"  n{e.src} -> n{e.dst} [rule={e.rule}, pos={e.pos}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  n{sid} [label={quoted(render_glyphs(graph.states[sid]))}, layer={d}];\n"
+    for u, v, ri, pos in _edge_rows(graph):
+        yield f"  n{u} -> n{v} [rule={ri}, pos={pos}];\n"
+    yield "}\n"
+
+
+def export_dot(graph: StatesGraph) -> str:
+    """Graphviz DOT text: node ``n<i>`` is state id ``i``; nodes and edges in discovery order.
+
+    The edges are read as rows (see :func:`_edge_rows`): an evolved graph's
+    edges are derived for the text and not kept.
+    """
+    return "".join(_dot_lines(graph))
+
+
+def _cut_at_edges(graph: StatesGraph, max_edges: int) -> StatesGraph:
+    """``graph`` cut to the layers whose edges fit in ``max_edges``.
+
+    Reads the edges of ``graph`` in discovery order, which expands
+    ``layers[:-1]`` in turn, up to the first one past ``max_edges``.  If
+    that edge is found while layer d is expanded, the result keeps ``layers[: d + 1]`` and the edges
+    of the layers before d, as an evolution truncated while building layer
+    d + 1 would, with a ``truncation_reason`` naming the edge count.
+    Otherwise ``graph`` itself is returned.
+    """
+    over = next(islice(_edge_rows(graph), max_edges, None), None)
+    if over is None:
+        return graph
+    d = graph.state_distances()[over[0]]
+    reason = f"more than {max_edges} edges while building layer {d + 1}"
+    return StatesGraph(graph.system, graph.states, graph.layers[: d + 1], None, reason)

@@ -34,6 +34,19 @@ def state_token(state: int) -> str:
     return f"[q{state}]"
 
 
+class MachineError(ValueError):
+    """A machine file that parses but names no valid machine, with the line at fault."""
+
+    def __init__(self, message: str, line: int):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+def _bad_symbol(sym: str) -> bool:
+    # a cell is one character, and these are taken by the rule encoding or the file format
+    return len(sym) != 1 or sym in "_H[]#" or sym.isspace()
+
+
 @dataclass(frozen=True)
 class TuringMachine:
     """Single-tape deterministic machine with states numbered from 1.
@@ -56,7 +69,7 @@ class TuringMachine:
         if len(set(self.tape_alphabet)) != len(self.tape_alphabet):
             raise ValueError("duplicate tape symbols")
         for sym in self.tape_alphabet:
-            if len(sym) != 1 or sym in "_H[]#" or sym.isspace():
+            if _bad_symbol(sym):
                 raise ValueError(f"bad tape symbol {sym!r}")
         if self.blank not in self.tape_alphabet:
             raise ValueError("blank symbol must belong to the tape alphabet")
@@ -364,6 +377,12 @@ _TM_DELTA_RE = re.compile(
 )
 
 
+def _check_symbols(lineno: int, *symbols: str) -> None:
+    for sym in symbols:
+        if _bad_symbol(sym):
+            raise MachineError(f"bad tape symbol {sym!r}", lineno)
+
+
 def parse_tm(text: str) -> TuringMachine:
     """Parse machine-file text.
 
@@ -372,7 +391,8 @@ def parse_tm(text: str) -> TuringMachine:
     ``delta: (state, read) -> (write, L|R, state)`` line per transition.
     ``#`` starts a comment and blank lines are skipped.  The tape alphabet
     is the blank plus every symbol a transition mentions, sorted; symbol
-    and coverage validity are left to :class:`TuringMachine`.
+    coverage and the other checks of :class:`TuringMachine` are left to it,
+    but a bad tape symbol raises :class:`MachineError` naming its line.
     """
     n_states: int | None = None
     halting: frozenset[int] | None = None
@@ -397,6 +417,7 @@ def parse_tm(text: str) -> TuringMachine:
                 raise ParseError("duplicate blank line", lineno)
             if not rest:
                 raise ParseError("blank needs a symbol", lineno)
+            _check_symbols(lineno, rest)
             blank, blank_seen = rest, True
         elif key == "delta":
             match = _TM_DELTA_RE.match(rest)
@@ -405,6 +426,7 @@ def parse_tm(text: str) -> TuringMachine:
                     "expected 'delta: (state, read) -> (write, L|R, state)'", lineno
                 )
             state, read = int(match.group(1)), match.group(2)
+            _check_symbols(lineno, read, match.group(3))
             if (state, read) in transitions:
                 raise ParseError(f"duplicate transition for ({state}, {read})", lineno)
             transitions[(state, read)] = (match.group(3), match.group(4), int(match.group(5)))

@@ -4,10 +4,12 @@ The reference expander below scans every position with startswith instead of
 str.find, keeps layers as plain sets, and knows nothing about budgets or
 edges.  Engine results are checked against it on small systems.  The
 rule-independence reference below compares graphs by layered isomorphism,
-the way ``check_rule_independence`` once did.  The refinement reference
-colours nodes with ``Counter`` signatures, the way ``layered_isomorphic``
-once did.  Systems over two token pools interned in opposite orders check
-that results do not depend on the interning table.
+the way ``check_rule_independence`` once did.  The map reference files
+every edge of both graphs as a tuple pair, the way ``_map_fails_at`` once
+did.  The refinement reference colours nodes with ``Counter`` signatures,
+the way ``layered_isomorphic`` once did.  Systems over two token pools
+interned in opposite orders check that results do not depend on the
+interning table.
 """
 
 from __future__ import annotations
@@ -101,6 +103,32 @@ def reference_independence(m1, m2, horizon: int):
             )
             return "dependent", witness
     return "independent_up_to_horizon", None
+
+
+def reference_map_fails_at(g1: StatesGraph, g2: StatesGraph, images: list[str]) -> int | None:
+    """``_map_fails_at``'s witness from every edge kept as a tuple pair.
+
+    Both graphs' ``edges`` lists are read whole, and each simple edge is
+    filed under the layer of its later endpoint as a pair of g2 ids, g1's
+    through the map (-1 for an image that is no state of g2).  Layer d
+    fails when its sizes differ, when its states' images are not g2's
+    states there, or when its filed pairs differ.
+    """
+    index = {s: w for w, s in enumerate(g2.states)}
+    phi = [index.get(s, -1) for s in images]
+
+    def edges_by_layer(graph, ids):
+        dist = graph.state_distances()
+        filed = [set() for _ in graph.layers]
+        for u, v, _, _ in graph.edges:
+            filed[max(dist[u], dist[v])].add((ids[u], ids[v]))
+        return filed
+
+    edges1, edges2 = edges_by_layer(g1, phi), edges_by_layer(g2, list(range(len(g2.states))))
+    for d, (a, b) in enumerate(zip(g1.layers, g2.layers)):
+        if len(a) != len(b) or {phi[v] for v in a} != set(b) or edges1[d] != edges2[d]:
+            return d
+    return None
 
 
 def reference_refinement(g1: StatesGraph, g2: StatesGraph) -> tuple[bool, int | None]:

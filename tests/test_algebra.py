@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from conftest import (
     pool_rules,
     pool_system,
     reference_independence,
+    reference_map_fails_at,
     reference_refinement,
 )
 
@@ -803,6 +805,89 @@ def test_prod_comm_agrees_with_the_search_and_brute_force(rules1, init1, rules2,
             mp.setattr(algebra, "evolve", lambda system, h: evolve(system, h, max_states=budget))
             with pytest.raises(ValueError, match="truncated"):
                 verify_semiring_identity("prod-comm", a, b, horizon=horizon)
+
+
+def _scrambled(g1, g2, rnd):
+    """Images that send each layer of g1 onto a shuffle of g2's same layer, where sizes allow."""
+    images = list(g1.states)
+    for a, b in zip(g1.layers, g2.layers):
+        pool = [g2.states[v] for v in b]
+        rnd.shuffle(pool)
+        for v, image in zip(a, pool):
+            images[v] = image
+    return images
+
+
+def _given_edges(graph, rnd):
+    """``graph`` with its edges as a list given by hand, in shuffled order."""
+    edges = list(graph.edges)
+    rnd.shuffle(edges)
+    return StatesGraph(graph.system, graph.states, graph.layers, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rules1=pool_rules,
+    init1=pool_init,
+    rules2=pool_rules,
+    init2=pool_init,
+    shared=st.booleans(),
+    horizon=st.integers(1, 3),
+    kind=st.sampled_from(["identity", "swapped", "scrambled"]),
+    given_edges=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_map_check_agrees_with_the_reference(
+    rules1, init1, rules2, init2, shared, horizon, kind, given_edges, rnd
+):
+    a = pool_system(LOW_POOL, rules1, init1)
+    b = pool_system(LOW_POOL if shared else HIGH_POOL, rules2, init2)
+    g1 = evolve(product_systems(a, b).system, horizon, max_states=300)
+    g2 = evolve(product_systems(b, a).system, horizon, max_states=300)
+    assume(not g1.truncated and not g2.truncated)
+    if given_edges:
+        g1, g2 = _given_edges(g1, rnd), _given_edges(g2, rnd)
+    images = {
+        "identity": lambda: list(g1.states),
+        "swapped": lambda: _swapped(g1.states, a),
+        "scrambled": lambda: _scrambled(g1, g2, rnd),
+    }[kind]()
+    assert algebra._map_fails_at(g1, g2, images) == reference_map_fails_at(g1, g2, images)
+    assert algebra._map_fails_at(g2, g2, list(g2.states)) is None
+
+
+@st.composite
+def hand_graphs(draw, depth):
+    """A graph of ``depth + 1`` layers with edges between any two states, in any order."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=depth + 1, max_size=depth + 1))
+    n = sum(sizes)
+    states = [f"s{i}" for i in range(n)]
+    starts = [sum(sizes[:d]) for d in range(depth + 1)]
+    layers = [list(range(start, start + size)) for start, size in zip(starts, sizes)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)) if n else []
+    return StatesGraph(SHUTTLE, states, layers, [Edge(u, v, 0, 0) for u, v in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), depth=st.integers(0, 3))
+def test_map_check_on_hand_built_graphs_agrees_with_the_reference(data, depth):
+    g1, g2 = data.draw(hand_graphs(depth)), data.draw(hand_graphs(depth))
+    names = g2.states + ["absent"]
+    images = data.draw(st.lists(st.sampled_from(names), min_size=len(g1.states), max_size=len(g1.states)))
+    assert algebra._map_fails_at(g1, g2, images) == reference_map_fails_at(g1, g2, images)
+
+
+def test_map_check_keeps_few_edges_at_once():
+    # P x L to distance 20: 35,420 edges a side; kept as Edge lists and tuple
+    # sets they made a 20.1 MB peak
+    tracemalloc.start()
+    try:
+        report = verify_semiring_identity("prod-comm", SYS_P, make_system([("C", "CD")], "CC"), horizon=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.proof == "map"
+    assert peak < 10_000_000
 
 
 def test_product_associates_by_signature():

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from multiway.cli import BUDGET_ENV_VAR, main
-from multiway.core import evolve
+from multiway.core import evolve, export_dot
 from multiway.rulefiles import parse_system
 from multiway.tm import build_incrementer, compile_tm, enchain
 from multiway.zoo import ZOO, polynomial
@@ -174,6 +175,37 @@ def test_simulate_dot_records_edges(write_file, capsys):
     assert capsys.readouterr().out.count(" -> ") == 6
 
 
+def test_simulate_dot_writes_the_layers_whose_edges_fit(write_file, tmp_path):
+    # FIG1's layer d holds d + 1 states with two A's each: 2, 4, 6, 8, 10 edges from layers 0-4
+    out = tmp_path / "g.dot"
+    command = ["simulate", write_file(FIG1), "--horizon", "6", "--budget", "25", "--format", "dot"]
+    assert main(command + ["--out", str(out)]) == 5
+    header, body = out.read_text().split("digraph", 1)
+    assert "// truncated: more than 25 edges while building layer 5\n" in header
+    # what an evolution truncated at layer 5 keeps: layers 0-4, and the 20 edges of layers 0-3
+    assert "digraph" + body == export_dot(evolve(parse_system(FIG1), 4))
+    assert body.count(" -> ") == 20
+
+
+def test_simulate_dot_budget_bounds_memory(tmp_path):
+    # log_system to 800 generations: 5,216 states, 1,516,736 edges, 66.5M characters of DOT
+    rules = tmp_path / "log.rules"
+    assert main(["zoo", "emit", "log_system", "--out", str(rules)]) == 0
+    out = tmp_path / "log.dot"
+    command = ["simulate", str(rules), "--horizon", "800", "--budget", "100000", "--format", "dot"]
+    tracemalloc.start()
+    try:
+        code = main(command + ["--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    text = out.read_text()
+    assert "\n// truncated: more than 100000 edges while building layer " in text
+    assert 0 < text.count(" -> ") <= 100_000
+    assert peak < 66_500_000
+
+
 def test_classify_needs_eight_layers(write_file, capsys):
     assert main(["classify", write_file(EXP3), "--horizon", "7"]) == 4
     assert "8 layers" in capsys.readouterr().err
@@ -214,6 +246,12 @@ def test_compile_tm_error_codes(write_file, capsys):
     invalid = write_file("states: 2 halting: {2}\ndelta: (1, 10) -> (1, L, 2)\n", "inv.machine")
     assert main(["compile-tm", invalid]) == 4
     assert "tape symbol" in capsys.readouterr().err
+
+
+def test_compile_tm_names_the_line_of_a_bad_symbol(write_file, capsys):
+    invalid = write_file("states: 2 halting: {2}\nblank: 0 0\n", "blank.machine")
+    assert main(["compile-tm", invalid]) == 4
+    assert capsys.readouterr().err == "error: line 2: bad tape symbol '0 0'\n"
 
 
 def test_combine_sum_writes_rules_and_provenance(write_file, tmp_path):

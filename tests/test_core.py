@@ -637,6 +637,20 @@ def test_printing_and_comparing_derive_no_edges(monkeypatch):
     assert g == h and g != shorter
 
 
+def test_comparing_and_printing_build_no_edge_objects(monkeypatch):
+    def refuse(*fields):
+        raise AssertionError("Edge built")
+
+    m = make_system([("A", "AB"), ("B", "A")], "A")
+    g, h = evolve(m, 5), evolve(m, 5)
+    expected_dot = export_dot(evolve(m, 5))
+    monkeypatch.setattr(core, "Edge", refuse)
+    assert _map_fails_at(g, h, g.states) is None
+    assert layered_isomorphic(g, h) == (True, None)
+    assert export_dot(g) == expected_dot
+    assert g._edges is None and h._edges is None  # nothing was kept either
+
+
 def test_repr_does_not_grow_with_the_evolution():
     assert len(repr(evolve(zoo.exponential(3), 8))) < 500  # 9,841 states
     cut = evolve(zoo.exponential(3), 8, max_states=10)

@@ -10,6 +10,7 @@ from multiway.core import evolve, render_glyphs
 from multiway.rulefiles import ParseError, format_system
 from multiway.tm import (
     HaltingFunctionMeasurement,
+    MachineError,
     TuringMachine,
     build_binary_counter,
     build_incrementer,
@@ -171,6 +172,10 @@ delta: (2, 1) -> (1, L, 2)
 delta: (2, 0) -> (0, R, 3)
 """
 
+# a bad tape symbol parses: it is a validation error (exit 4), not a parse error (exit 3)
+BAD_BLANK = HEADER + "blank: 0 0\n"
+BAD_READ = HEADER + DELTA + "delta: (1, 10) -> (1, L, 2)\n"
+
 
 @pytest.mark.parametrize(
     "text, line",
@@ -186,10 +191,12 @@ delta: (2, 0) -> (0, R, 3)
         ("states: 3 halting: {,2,,}\n", 1),  # empty names between commas
         ("states: 3 halting: {2,}\n", 1),
         (DELTA, None),  # missing header
+        (BAD_BLANK, 2),
+        (BAD_READ, 3),
     ],
 )
 def test_machine_file_errors_carry_line_numbers(text, line):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(MachineError if text in (BAD_BLANK, BAD_READ) else ParseError) as err:
         parse_tm(text)
     assert err.value.line == line
 
