@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Alphabet,
@@ -212,18 +212,14 @@ def _edges_by_later_layer(
     """For each layer in turn, the keys ``ids[u] * width + ids[v]`` of the
     edges u -> v whose later endpoint lies in it.
 
-    A row files at or after its source's layer, and derived rows come in
-    the order of their sources' layers, so a layer is yielded, and dropped
-    here, as soon as a row from a later source arrives.  A list given by
-    hand may come in any order, so it is sorted by source layer first.
+    A row files at or after its source's layer, and :func:`_edge_rows`
+    yields rows in the order of their sources' layers, so a layer is
+    yielded, and dropped here, as soon as a row from a later source arrives.
     """
     dist = graph.state_distances()
-    rows: Iterable[tuple[int, int, int, int]] = _edge_rows(graph, index)
-    if graph._edges is not None:
-        rows = sorted(rows, key=lambda row: dist[row[0]])
     filed: list[set[int] | None] = [set() for _ in graph.layers]
     done = 0  # layers below this are yielded: no later row lands there
-    for u, v, _, _ in rows:
+    for u, v, _, _ in _edge_rows(graph, index):
         du, dv = dist[u], dist[v]  # the later endpoint's; max() made the check 1.6x slower
         while done < du:
             yield filed[done]

@@ -5,11 +5,11 @@ DOT), ``classify`` (growth-class report as JSON), ``compile-tm`` (machine
 file in, rule file out), ``combine`` (sum / product / binary reduction, with
 a provenance sidecar), and ``zoo`` (the bundled example systems).
 
-Exit codes: 0 success — including budget truncation when the output format
-can flag it inline — 2 usage, 3 parse error, 4 validation error, 5 resource
-limit.  All outputs are deterministic: identical inputs give byte-identical
-files, and every file starts with the tool version and the full run
-configuration.
+Exit codes: 0 success (JSON output reports budget truncation in-band), 2
+usage, 3 parse error, 4 validation error, 5 resource limit (truncated
+evolution for CSV or DOT output, or DOT output whose edges pass the budget).
+All outputs are deterministic: identical inputs give byte-identical files,
+and every file starts with the tool version and the full run configuration.
 """
 
 from __future__ import annotations

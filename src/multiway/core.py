@@ -210,9 +210,9 @@ class Edge(NamedTuple):
     pos: int
 
 
-@dataclass(repr=False)
+@dataclass(frozen=True, repr=False)
 class StatesGraph:
-    """Layered derivation graph produced by :func:`evolve`.
+    """Layered derivation graph produced by :func:`evolve`; a value, never changed once built.
 
     ``layers[d]`` lists the ids of states first reached at distance ``d``
     from the initial string, in the order breadth-first search finds them
@@ -223,10 +223,11 @@ class StatesGraph:
     rewrite from a state of ``layers[:-1]``, including rewrites that land on
     already-known states, in that same order.  Given as None (as
     :func:`evolve` does) it is derived from ``system``, ``states`` and
-    ``layers`` when first read, by one more matching pass over those states,
-    and kept; a list given explicitly is returned as it is.  The graph
-    comparisons in ``algebra`` and :func:`export_dot` never read ``edges``:
-    they take the same edges as a stream of rows and keep none of them.
+    ``layers`` on every read, by one more matching pass over those states,
+    into a fresh list the graph does not keep; a list given explicitly is
+    returned as it is.  The graph comparisons in ``algebra`` and
+    :func:`export_dot` never read ``edges``: they take the same edges as a
+    stream of rows from :func:`_edge_rows` and keep none of them.
     Neither ``repr`` nor ``==`` reads it.  ``truncation_reason`` says which budget
     stopped the evolution, or is None; ``truncated`` is read off it.
     ``repr`` shows the system and sizes, not the states, so its length does
@@ -249,7 +250,9 @@ class StatesGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        return _read_edges(self)
+        if self._edges is not None:
+            return self._edges
+        return [Edge(*row) for row in _edge_rows(self)]
 
     @property
     def truncated(self) -> bool:
@@ -378,16 +381,23 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
 def _edge_rows(
     graph: StatesGraph, index: dict[str, StateId] | None = None
 ) -> Iterator[tuple[StateId, StateId, int, int]]:
-    """``(src, dst, rule, pos)`` for each edge of ``graph``, in discovery order.
+    """``(src, dst, rule, pos)`` for each edge of ``graph``, in the order of their sources' layers.
 
-    The list given or already read is yielded as it is.  Otherwise the rows
-    are derived, one per match in each state of ``layers[:-1]``, by one
-    matching pass that looks results up in ``index`` (``{state: id}``, built
-    here when not given) and keeps nothing, so a reader that files or writes
-    each row as it comes never holds all the edges at once.
+    The one reader of ``graph._edges``.  A list given by hand is yielded
+    sorted by source layer, stably, so a list already in discovery order
+    comes back as it is.  Otherwise the rows are derived in discovery order,
+    one per match in each state of ``layers[:-1]`` (the frontiers
+    :func:`evolve` expanded and kept: the last layer is where it stopped,
+    and a budget drops the layer being built together with the rewrites
+    that found it), by one matching pass that looks results up in ``index``
+    (``{state: id}``, built here when not given) and keeps nothing, so a
+    reader that files or writes each row as it comes never holds all the
+    edges at once.
     """
     if graph._edges is not None:
-        yield from graph._edges
+        if graph._edges:
+            dist = graph.state_distances()
+            yield from sorted(graph._edges, key=lambda row: dist[row[0]])
         return
     plans = _rule_plans(graph.system)
     states = graph.states
@@ -399,20 +409,6 @@ def _edge_rows(
                 v = index[t]
                 for pos in positions:
                     yield u, v, ri, pos
-
-
-def _read_edges(graph: StatesGraph) -> list[Edge]:
-    """``graph.edges``: the list given, or else one :class:`Edge` per row of
-    :func:`_edge_rows`, derived on first read and kept.
-
-    The rows come from the states of ``layers[:-1]``, the frontiers
-    :func:`evolve` expanded and kept: the last layer is where it stopped,
-    and a budget drops the layer being built together with the rewrites
-    that found it.
-    """
-    if graph._edges is None:
-        graph._edges = [Edge(*row) for row in _edge_rows(graph)]
-    return graph._edges
 
 
 def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]:
@@ -466,9 +462,9 @@ def evolve(
     Each group costs one set membership test, and no layer is sorted.  A
     state is stored once, as its string in ``states``: no id or int is kept
     per state, since each layer is the ``range`` of ids it was given.  No
-    edge is built here: the graph's ``edges`` are derived when first read,
-    by a second matching pass over the expanded states that costs one step
-    per match, so a caller that reads only states and layers never pays it.
+    edge is built here: the graph's ``edges`` are derived on each read, by
+    a second matching pass over the expanded states that costs one step per
+    match, so a caller that reads only states and layers never pays it.
 
     Args:
         system: the rewriting system.
@@ -485,8 +481,8 @@ def evolve(
             breaks (``max_states < 1`` or ``max_cells < len(init)``) is
             rejected with ``ValueError``, as a negative horizon is.
         record_edges: when False, ``edges`` is ``[]`` and never derived;
-            when True, it is derived on first read.  States and layers are
-            the same either way.
+            when True, it is derived on each read and not kept.  States and
+            layers are the same either way.
 
     Returns:
         A :class:`StatesGraph`.

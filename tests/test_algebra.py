@@ -398,9 +398,9 @@ _pair = st.tuples(
 def _rewired(graph, edge_pick, target_pick):
     """The graph with one edge moved onto another target: layer sizes stay,
     the structure usually does not."""
-    if not graph.edges:
-        return graph
     edges = list(graph.edges)
+    if not edges:
+        return graph
     i = edge_pick % len(edges)
     edges[i] = edges[i]._replace(dst=target_pick % len(graph.states))
     return StatesGraph(graph.system, graph.states, graph.layers, edges)
@@ -877,9 +877,8 @@ def test_map_check_on_hand_built_graphs_agrees_with_the_reference(data, depth):
     assert algebra._map_fails_at(g1, g2, images) == reference_map_fails_at(g1, g2, images)
 
 
-def test_map_check_keeps_few_edges_at_once():
-    # P x L to distance 20: 35,420 edges a side; kept as Edge lists and tuple
-    # sets they made a 20.1 MB peak
+def _map_check_peak() -> int:
+    """The tracemalloc peak of proving prod-comm on P x L to distance 20 by the state map."""
     tracemalloc.start()
     try:
         report = verify_semiring_identity("prod-comm", SYS_P, make_system([("C", "CD")], "CC"), horizon=20)
@@ -887,7 +886,28 @@ def test_map_check_keeps_few_edges_at_once():
     finally:
         tracemalloc.stop()
     assert report.holds and report.proof == "map"
-    assert peak < 10_000_000
+    return peak
+
+
+def test_map_check_keeps_few_edges_at_once():
+    # P x L to distance 20: 35,420 edges a side; kept as Edge lists and tuple
+    # sets they made a 20.1 MB peak
+    assert _map_check_peak() < 10_000_000
+
+
+def test_reading_edges_after_evolve_keeps_none(monkeypatch):
+    # a tracer reads len(graph.edges) after each evolution; an edge list the
+    # graph kept from that read made the peak 15.7 MB
+    counts = []
+
+    def evolve_and_read_edges(*args, **kwargs):
+        graph = evolve(*args, **kwargs)
+        counts.append(len(graph.edges))
+        return graph
+
+    monkeypatch.setattr(algebra, "evolve", evolve_and_read_edges)
+    assert _map_check_peak() < 10_000_000
+    assert counts == [35_420, 35_420]
 
 
 def test_product_associates_by_signature():

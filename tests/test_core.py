@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import accumulate
 
 import pytest
@@ -384,6 +385,7 @@ def test_truncation_rolls_back_to_the_last_complete_layer(budget, size):
     m = make_system([("A", "AB"), ("B", "A"), ("BA", "")], "AB")
     full = evolve(m, 7)
     dist = full.state_distances()
+    full_edges = full.edges
     totals = list(accumulate(sum(size(full.states[i]) for i in layer) for layer in full.layers))
     for limit in range(totals[0], totals[-1]):
         g = evolve(m, 7, **{budget: limit})
@@ -393,8 +395,9 @@ def test_truncation_rolls_back_to_the_last_complete_layer(budget, size):
         assert g.layers == full.layers[: k + 1]
         n = sum(map(len, g.layers))
         assert g.states == full.states[:n]
-        assert g.edges == [e for e in full.edges if dist[e.src] < k]
-        assert all(e.src < n and e.dst < n for e in g.edges)
+        edges = g.edges
+        assert edges == [e for e in full_edges if dist[e.src] < k]
+        assert all(e.src < n and e.dst < n for e in edges)
 
 
 @pytest.mark.parametrize(
@@ -566,12 +569,13 @@ def test_edges_connect_adjacent_or_earlier_layers(rules, init):
     m = make_system(rules, init, alphabet="AB")
     g = evolve(m, 4, max_states=100_000)
     dist = g.state_distances()
+    edges = g.edges
     assert sum(len(layer) for layer in g.layers) == len(g.states)
-    for e in g.edges:
+    for e in edges:
         assert dist[e.dst] <= dist[e.src] + 1
     # every non-initial state is the target of at least one edge from the
     # previous layer
-    entered = {e.dst for e in g.edges if dist[e.dst] == dist[e.src] + 1}
+    entered = {e.dst for e in edges if dist[e.dst] == dist[e.src] + 1}
     for sid in range(1, len(g.states)):
         assert sid in entered
 
@@ -602,8 +606,9 @@ def test_derived_edges_are_the_naive_successors_in_order(rules, init, budget, pi
             for u in layer
             for t, ri, p in naive_successors(list(m.rules), graph.states[u])
         ]
-        assert graph.edges == expected
-        assert all(type(e) is Edge for e in graph.edges)
+        edges = graph.edges
+        assert edges == expected
+        assert all(type(e) is Edge for e in edges)
 
 
 def test_evolve_builds_no_edge_until_edges_are_read(monkeypatch):
@@ -619,9 +624,10 @@ def test_evolve_builds_no_edge_until_edges_are_read(monkeypatch):
     assert built == [] and len(g.states) > 1
     edges = g.edges
     assert edges and len(built) == len(edges)
-    assert g.edges is edges and len(built) == len(edges)  # kept, not derived again
+    assert g.edges == edges and len(built) == 2 * len(edges)  # derived again, not kept
+    assert g._edges is None
     unrecorded = evolve(m, 5, record_edges=False)
-    assert unrecorded.edges == [] and len(built) == len(edges)  # never derived
+    assert unrecorded.edges == [] and len(built) == 2 * len(edges)  # never derived
 
 
 def test_printing_and_comparing_derive_no_edges(monkeypatch):
@@ -631,7 +637,7 @@ def test_printing_and_comparing_derive_no_edges(monkeypatch):
     m = make_system([("A", "AB"), ("B", "A")], "A")
     g, h, shorter = evolve(m, 5), evolve(m, 5), evolve(m, 4)
     # the edges reader, and the rule plans that any derivation starts from
-    monkeypatch.setattr(core, "_read_edges", refuse)
+    monkeypatch.setattr(core, "_edge_rows", refuse)
     monkeypatch.setattr(core, "_rule_plans", refuse)
     assert "_edges" not in repr(g) and "AB" in repr(g)
     assert g == h and g != shorter
@@ -655,6 +661,24 @@ def test_repr_does_not_grow_with_the_evolution():
     assert len(repr(evolve(zoo.exponential(3), 8))) < 500  # 9,841 states
     cut = evolve(zoo.exponential(3), 8, max_states=10)
     assert "states=4, layers=2" in repr(cut) and cut.truncation_reason in repr(cut)
+
+
+def test_a_graph_is_a_value():
+    g = evolve(make_system([("A", "AB"), ("B", "A")], "A"), 5)
+    for name in ("states", "layers", "_edges", "truncation_reason"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, None)
+    first, second = g.edges, g.edges
+    assert first == second and first is not second
+
+
+def test_given_edges_are_read_in_source_layer_order():
+    g = evolve(make_system([("A", "AB"), ("B", "A"), ("BA", "")], "AB"), 5)
+    dist = g.state_distances()
+    derived = g.edges
+    shuffled = StatesGraph(g.system, g.states, g.layers, derived[::-1])
+    assert [dist[u] for u, *_ in core._edge_rows(shuffled)] == sorted(dist[e.src] for e in derived)
+    assert list(core._edge_rows(StatesGraph(g.system, g.states, g.layers, derived))) == derived
 
 
 def test_explicit_edges_are_returned_as_given():

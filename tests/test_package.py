@@ -75,3 +75,10 @@ def test_submodules_load_on_first_access():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_only_core_reads_how_edges_were_given():
+    # core._edge_rows is the one reader of StatesGraph._edges; other modules take its rows
+    src = Path(multiway.__file__).parent
+    readers = sorted(p.name for p in src.glob("*.py") if "._edges" in p.read_text(encoding="utf-8"))
+    assert readers == ["core.py"]
