@@ -6,8 +6,10 @@ file in, rule file out), ``combine`` (sum / product / binary reduction, with
 a provenance sidecar), and ``zoo`` (the bundled example systems).
 
 Exit codes: 0 success (JSON output reports budget truncation in-band), 2
-usage, 3 parse error, 4 validation error, 5 resource limit (truncated
-evolution for CSV or DOT output, or DOT output whose edges pass the budget).
+usage, 3 parse error, 4 validation error (among them a ``classify`` horizon
+under 8 generations), 5 resource limit (truncated evolution for CSV or DOT output,
+DOT output whose edges pass the budget, or a ``classify`` whose budget left
+fewer than 8 layers).
 All outputs are deterministic: identical inputs give byte-identical files,
 and every file starts with the tool version and the full run configuration.
 """
@@ -163,10 +165,18 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .analysis import classify
+    from .analysis import MIN_LAYERS, classify
 
     graph = _evolve(args, record_edges=False)
     series = growth_series(graph)
+    if graph.truncated and len(series.counts) < MIN_LAYERS <= args.horizon:
+        # the budget, not the horizon, left too few layers: a resource limit
+        print(
+            f"error: truncated: {graph.truncation_reason}; need at least {MIN_LAYERS} "
+            f"layers to classify, got {len(series.counts)}",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
     report = classify(series)
     config = _config("classify", args, "rules", "horizon", "budget")
     payload = {

@@ -459,12 +459,14 @@ def evolve(
     per match.  For a one-symbol lhs c with rhs in c*, a whole run of c is
     one group found in one step, so a run of L matches of ``A -> AA`` costs
     one step, not L; other coinciding matches are still found one by one.
-    Each group costs one set membership test, and no layer is sorted.  A
-    state is stored once, as its string in ``states``: no id or int is kept
-    per state, since each layer is the ``range`` of ids it was given.  No
-    edge is built here: the graph's ``edges`` are derived on each read, by
-    a second matching pass over the expanded states that costs one step per
-    match, so a caller that reads only states and layers never pays it.
+    Each group costs one dict membership test, and no layer is sorted.  A
+    state is stored once, as its string: one insertion-ordered dict is both
+    the seen test and the id order, and ``states`` is read from it at the
+    end.  No id or int is kept per state, since each layer is the ``range``
+    of ids it was given.  No edge is built here: the graph's ``edges`` are
+    derived on each read, by a second matching pass over the expanded
+    states that costs one step per match, so a caller that reads only
+    states and layers never pays it.
 
     Args:
         system: the rewriting system.
@@ -494,22 +496,23 @@ def evolve(
     if max_cells < len(system.init):
         raise ValueError("max_cells must be at least the length of the initial string")
     plans = _rule_plans(system)
-    states: list[str] = [system.init]
-    seen: set[str] = {system.init}
+    # insertion order is id order, so one dict is both the seen-set and the states
+    seen: dict[str, None] = {system.init: None}
     layers: list[Sequence[StateId]] = [range(1)]
     cells = len(system.init)
     reason: str | None = None
 
     frontier = [system.init]
     for d in range(1, horizon + 1):
+        start = len(seen)
         layer: list[str] = []
         for s in frontier:
             for t, _, _ in _rewrite_groups(plans, s):
                 if t not in seen:
-                    seen.add(t)
+                    seen[t] = None
                     layer.append(t)
                     cells += len(t)
-                    if len(states) + len(layer) > max_states:
+                    if len(seen) > max_states:
                         reason = f"more than {max_states} states while building layer {d}"
                         break
                     if cells > max_cells:
@@ -520,10 +523,11 @@ def evolve(
         if reason is not None:
             logger.warning("evolution truncated: %s", reason)
             break
-        layers.append(range(len(states), len(states) + len(layer)))
-        states += layer
+        layers.append(range(start, len(seen)))
         frontier = layer
 
+    # a truncated layer's partial strings are in seen but past the last layer
+    states = list(islice(seen, layers[-1].stop))
     return StatesGraph(system, states, layers, None if record_edges else [], reason)
 
 

@@ -47,6 +47,23 @@ def _bad_symbol(sym: str) -> bool:
     return len(sym) != 1 or sym in "_H[]#" or sym.isspace()
 
 
+def _state_fault(
+    n_states: int, halting: frozenset[int], transitions: Mapping[tuple[int, str], Transition]
+) -> tuple[str, tuple[int, str] | None] | None:
+    """The first bad state a machine names, and the transition naming it (None: the header)."""
+    if n_states < 1:
+        return "machine needs at least one state", None
+    if not halting <= set(range(1, n_states + 1)):
+        return "halting states out of range", None
+    for (s, x), (_, _, nxt) in transitions.items():
+        if s in halting or not 1 <= s <= n_states:
+            kind = "halting" if s in halting else "unknown"
+            return f"transition ({s},{x}) leaves {kind} state {s}", (s, x)
+        if not 1 <= nxt <= n_states:
+            return f"transition ({s},{x}) targets unknown state {nxt}", (s, x)
+    return None
+
+
 @dataclass(frozen=True)
 class TuringMachine:
     """Single-tape deterministic machine with states numbered from 1.
@@ -64,8 +81,9 @@ class TuringMachine:
     blank: str = "0"
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("machine needs at least one state")
+        fault = _state_fault(self.n_states, self.halting, self.transitions)
+        if fault is not None:
+            raise ValueError(fault[0])
         if len(set(self.tape_alphabet)) != len(self.tape_alphabet):
             raise ValueError("duplicate tape symbols")
         for sym in self.tape_alphabet:
@@ -73,8 +91,6 @@ class TuringMachine:
                 raise ValueError(f"bad tape symbol {sym!r}")
         if self.blank not in self.tape_alphabet:
             raise ValueError("blank symbol must belong to the tape alphabet")
-        if not self.halting <= set(range(1, self.n_states + 1)):
-            raise ValueError("halting states out of range")
         working = [s for s in range(1, self.n_states + 1) if s not in self.halting]
         needed = {(s, x) for s in working for x in self.tape_alphabet}
         if set(self.transitions) != needed:
@@ -84,13 +100,11 @@ class TuringMachine:
                 f"transition table must cover working states exactly "
                 f"(missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        for (s, x), (write, move, nxt) in self.transitions.items():
+        for (s, x), (write, move, _) in self.transitions.items():
             if write not in self.tape_alphabet:
                 raise ValueError(f"transition ({s},{x}) writes unknown symbol {write!r}")
             if move not in (LEFT, RIGHT):
                 raise ValueError(f"transition ({s},{x}) has move {move!r}")
-            if not 1 <= nxt <= self.n_states:
-                raise ValueError(f"transition ({s},{x}) targets unknown state {nxt}")
 
     @property
     def states(self) -> range:
@@ -390,15 +404,19 @@ def parse_tm(text: str) -> TuringMachine:
     optional ``blank: <symbol>`` line (default ``0``), and one
     ``delta: (state, read) -> (write, L|R, state)`` line per transition.
     ``#`` starts a comment and blank lines are skipped.  The tape alphabet
-    is the blank plus every symbol a transition mentions, sorted; symbol
-    coverage and the other checks of :class:`TuringMachine` are left to it,
-    but a bad tape symbol raises :class:`MachineError` naming its line.
+    is the blank plus every symbol a transition mentions, sorted.  A bad
+    tape symbol, a bad state count or halting set, and a transition out of a
+    halting or unknown state or into an unknown one raise
+    :class:`MachineError` naming the line at fault; symbol coverage, a
+    whole-file property, is left to :class:`TuringMachine`.
     """
     n_states: int | None = None
     halting: frozenset[int] | None = None
+    states_line = 0
     blank = "0"
     blank_seen = False
     transitions: dict[tuple[int, str], Transition] = {}
+    delta_lines: dict[tuple[int, str], int] = {}
     for lineno, key, rest in directives(text):
         if key == "states":
             if n_states is not None:
@@ -406,7 +424,7 @@ def parse_tm(text: str) -> TuringMachine:
             match = _TM_HEADER_RE.match(rest)
             if not match:
                 raise ParseError("expected 'states: n halting: {...}'", lineno)
-            n_states = int(match.group(1))
+            n_states, states_line = int(match.group(1)), lineno
             body = match.group(2).strip()
             names = [p.strip() for p in body.split(",")] if body else []
             if not all(p.isdigit() for p in names):
@@ -430,10 +448,15 @@ def parse_tm(text: str) -> TuringMachine:
             if (state, read) in transitions:
                 raise ParseError(f"duplicate transition for ({state}, {read})", lineno)
             transitions[(state, read)] = (match.group(3), match.group(4), int(match.group(5)))
+            delta_lines[(state, read)] = lineno
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
     if n_states is None or halting is None:
         raise ParseError("missing 'states: n halting: {...}' line")
+    fault = _state_fault(n_states, halting, transitions)
+    if fault is not None:
+        message, key = fault
+        raise MachineError(message, states_line if key is None else delta_lines[key])
     symbols = {read for _, read in transitions}
     symbols.update(write for write, _, _ in transitions.values())
     symbols.discard(blank)

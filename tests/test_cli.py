@@ -211,6 +211,18 @@ def test_classify_needs_eight_layers(write_file, capsys):
     assert "8 layers" in capsys.readouterr().err
 
 
+def test_classify_cut_below_eight_layers_by_the_budget_is_a_resource_limit(write_file, capsys):
+    # EXP3 holds 1 + 3 + 9 + 27 = 40 states to distance 3, and layer 4's 81 pass a budget of 100
+    rules = write_file(EXP3)
+    assert main(["classify", rules, "--horizon", "30", "--budget", "100"]) == 5
+    assert capsys.readouterr().err == (
+        "error: truncated: more than 100 states while building layer 4; "
+        "need at least 8 layers to classify, got 4\n"
+    )
+    # a horizon under 8 is the caller's mistake, truncated or not
+    assert main(["classify", rules, "--horizon", "7", "--budget", "100"]) == 4
+
+
 def test_rule_parse_error_exit(write_file, capsys):
     bad = write_file("init: A\nrule: no arrow\n")
     assert main(["simulate", bad]) == 3

@@ -316,6 +316,19 @@ def test_evolve_keeps_no_bookkeeping_per_state():
     assert (kept - sum(map(sys.getsizeof, g.states))) / len(g.states) < 16
 
 
+def test_evolve_peak_keeps_one_index_over_the_states():
+    # 369,058 states: a seen-set beside a states list peaks at 67.2 bytes a
+    # state beyond the strings, one insertion-ordered dict at 61.6
+    tracemalloc.start()
+    try:
+        g = evolve(zoo.intermediate(), 47, record_edges=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.states) == 369_058
+    assert (peak - sum(map(sys.getsizeof, g.states))) / len(g.states) < 64.5
+
+
 def _assert_list_layers_read_the_same(g: StatesGraph) -> None:
     copy = StatesGraph(g.system, g.states, [list(layer) for layer in g.layers], None)
     assert growth_series(copy) == growth_series(g)
@@ -398,6 +411,32 @@ def test_truncation_rolls_back_to_the_last_complete_layer(budget, size):
         edges = g.edges
         assert edges == [e for e in full_edges if dist[e.src] < k]
         assert all(e.src < n and e.dst < n for e in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=pool_rules, init=pool_init, picks=st.tuples(*[st.integers(0, 10**6)] * 2))
+def test_a_truncated_evolution_is_the_full_one_cut_at_its_last_layer(rules, init, picks):
+    m = pool_system(LOW_POOL, rules, init)
+    full = evolve(m, 4, max_states=100_000)
+    # each budget ranges from the least allowed to one past the full evolution's size
+    total_cells = sum(map(len, full.states))
+    max_states = 1 + picks[0] % (len(full.states) + 1)
+    max_cells = len(m.init) + picks[1] % (total_cells - len(m.init) + 2)
+    g = evolve(m, 4, max_states=max_states, max_cells=max_cells)
+    event(f"truncated: {g.truncated}")
+
+    def fits(k: int) -> bool:
+        n = full.layers[k].stop
+        return n <= max_states and sum(map(len, full.states[:n])) <= max_cells
+
+    k = len(g.layers) - 1
+    assert g.layers == full.layers[: k + 1]
+    assert g.states == full.states[: g.layers[-1].stop]
+    # the budgets keep every layer that fits both and cut at the first that does not
+    assert fits(k)
+    assert g.truncated == (k < 4)
+    if g.truncated:
+        assert not fits(k + 1)
 
 
 @pytest.mark.parametrize(

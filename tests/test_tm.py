@@ -172,9 +172,13 @@ delta: (2, 1) -> (1, L, 2)
 delta: (2, 0) -> (0, R, 3)
 """
 
-# a bad tape symbol parses: it is a validation error (exit 4), not a parse error (exit 3)
+# a bad tape symbol or state parses: it is a validation error (exit 4), not a parse error (exit 3)
 BAD_BLANK = HEADER + "blank: 0 0\n"
 BAD_READ = HEADER + DELTA + "delta: (1, 10) -> (1, L, 2)\n"
+BAD_HALTING = "states: 2 halting: {5}\n"
+BAD_TARGET = "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 3)\n"
+OUT_OF_HALTING = "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 2)\ndelta: (2, 1) -> (1, R, 1)\n"
+MACHINE_ERRORS = (BAD_BLANK, BAD_READ, BAD_HALTING, BAD_TARGET, OUT_OF_HALTING)
 
 
 @pytest.mark.parametrize(
@@ -193,10 +197,13 @@ BAD_READ = HEADER + DELTA + "delta: (1, 10) -> (1, L, 2)\n"
         (DELTA, None),  # missing header
         (BAD_BLANK, 2),
         (BAD_READ, 3),
+        (BAD_HALTING, 1),
+        (BAD_TARGET, 2),
+        (OUT_OF_HALTING, 3),
     ],
 )
 def test_machine_file_errors_carry_line_numbers(text, line):
-    with pytest.raises(MachineError if text in (BAD_BLANK, BAD_READ) else ParseError) as err:
+    with pytest.raises(MachineError if text in MACHINE_ERRORS else ParseError) as err:
         parse_tm(text)
     assert err.value.line == line
 
