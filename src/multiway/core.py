@@ -637,14 +637,17 @@ def _cut_at_edges(graph: StatesGraph, max_edges: int) -> StatesGraph:
 
     Reads the edges of ``graph`` in discovery order, which expands
     ``layers[:-1]`` in turn, up to the first one past ``max_edges``.  If
-    that edge is found while layer d is expanded, the result keeps ``layers[: d + 1]`` and the edges
-    of the layers before d, as an evolution truncated while building layer
-    d + 1 would, with a ``truncation_reason`` naming the edge count.
-    Otherwise ``graph`` itself is returned.
+    that edge is found while layer d is expanded, the result keeps
+    ``layers[: d + 1]``, their strings (the states up to the last id they
+    name) and the edges of the layers before d, as an evolution truncated
+    while building layer d + 1 would, with a ``truncation_reason`` naming
+    the edge count.  Otherwise ``graph`` itself is returned.
     """
     over = next(islice(_edge_rows(graph), max_edges, None), None)
     if over is None:
         return graph
     d = graph.state_distances()[over[0]]
+    layers = graph.layers[: d + 1]
+    stop = 1 + max(max(layer) for layer in layers)
     reason = f"more than {max_edges} edges while building layer {d + 1}"
-    return StatesGraph(graph.system, graph.states, graph.layers[: d + 1], None, reason)
+    return StatesGraph(graph.system, graph.states[:stop], layers, None, reason)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .analysis import occurrence_sequence
-from .core import MultiwaySystem, make_system
+from .core import GlyphError, MultiwaySystem, make_system, parse_glyphs
 from .rulefiles import ParseError, directives
 
 LEFT = "L"
@@ -35,33 +35,23 @@ def state_token(state: int) -> str:
 
 
 class MachineError(ValueError):
-    """A machine file that parses but names no valid machine, with the line at fault."""
+    """An invalid machine: ``part`` names what is at fault, ``line`` the file line naming it.
 
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+    ``part`` is ``("states",)``, ``("delta", state, read)``, ``("symbol", sym)``, or None
+    for the whole table; ``line`` is None for a machine built directly.
+    """
+
+    def __init__(self, message: str, part: tuple | None = None, line: int | None = None):
+        self.part, self.line = part, line
+        super().__init__(f"line {line}: {message}" if line else message)
 
 
 def _bad_symbol(sym: str) -> bool:
-    # a cell is one character, and these are taken by the rule encoding or the file format
-    return len(sym) != 1 or sym in "_H[]#" or sym.isspace()
-
-
-def _state_fault(
-    n_states: int, halting: frozenset[int], transitions: Mapping[tuple[int, str], Transition]
-) -> tuple[str, tuple[int, str] | None] | None:
-    """The first bad state a machine names, and the transition naming it (None: the header)."""
-    if n_states < 1:
-        return "machine needs at least one state", None
-    if not halting <= set(range(1, n_states + 1)):
-        return "halting states out of range", None
-    for (s, x), (_, _, nxt) in transitions.items():
-        if s in halting or not 1 <= s <= n_states:
-            kind = "halting" if s in halting else "unknown"
-            return f"transition ({s},{x}) leaves {kind} state {s}", (s, x)
-        if not 1 <= nxt <= n_states:
-            return f"transition ({s},{x}) targets unknown state {nxt}", (s, x)
-    return None
+    # a cell is one glyph by core's rule (one that parses as itself); "_" and "H" encode the head
+    try:
+        return len(sym) != 1 or sym in "_H" or parse_glyphs(sym) != sym
+    except GlyphError:
+        return True
 
 
 @dataclass(frozen=True)
@@ -81,30 +71,40 @@ class TuringMachine:
     blank: str = "0"
 
     def __post_init__(self):
-        fault = _state_fault(self.n_states, self.halting, self.transitions)
-        if fault is not None:
-            raise ValueError(fault[0])
-        if len(set(self.tape_alphabet)) != len(self.tape_alphabet):
-            raise ValueError("duplicate tape symbols")
+        if self.n_states < 1:
+            raise MachineError("machine needs at least one state", ("states",))
+        if not self.halting <= set(self.states):
+            raise MachineError("halting states out of range", ("states",))
+        for (s, x), (_, _, nxt) in self.transitions.items():
+            at = ("delta", s, x)
+            if s in self.halting or not 1 <= s <= self.n_states:
+                kind = "halting" if s in self.halting else "unknown"
+                raise MachineError(f"transition ({s},{x}) leaves {kind} state {s}", at)
+            if not 1 <= nxt <= self.n_states:
+                raise MachineError(f"transition ({s},{x}) targets unknown state {nxt}", at)
+        for i, sym in enumerate(self.tape_alphabet):
+            if sym in self.tape_alphabet[i + 1 :]:
+                raise MachineError("duplicate tape symbols", ("symbol", sym))
         for sym in self.tape_alphabet:
             if _bad_symbol(sym):
-                raise ValueError(f"bad tape symbol {sym!r}")
+                raise MachineError(f"bad tape symbol {sym!r}", ("symbol", sym))
         if self.blank not in self.tape_alphabet:
-            raise ValueError("blank symbol must belong to the tape alphabet")
-        working = [s for s in range(1, self.n_states + 1) if s not in self.halting]
+            raise MachineError("blank symbol must belong to the tape alphabet")
+        working = [s for s in self.states if s not in self.halting]
         needed = {(s, x) for s in working for x in self.tape_alphabet}
         if set(self.transitions) != needed:
             missing = needed - set(self.transitions)
             extra = set(self.transitions) - needed
-            raise ValueError(
+            raise MachineError(
                 f"transition table must cover working states exactly "
                 f"(missing {sorted(missing)}, extra {sorted(extra)})"
             )
         for (s, x), (write, move, _) in self.transitions.items():
+            at = ("delta", s, x)
             if write not in self.tape_alphabet:
-                raise ValueError(f"transition ({s},{x}) writes unknown symbol {write!r}")
+                raise MachineError(f"transition ({s},{x}) writes unknown symbol {write!r}", at)
             if move not in (LEFT, RIGHT):
-                raise ValueError(f"transition ({s},{x}) has move {move!r}")
+                raise MachineError(f"transition ({s},{x}) has move {move!r}", at)
 
     @property
     def states(self) -> range:
@@ -391,12 +391,6 @@ _TM_DELTA_RE = re.compile(
 )
 
 
-def _check_symbols(lineno: int, *symbols: str) -> None:
-    for sym in symbols:
-        if _bad_symbol(sym):
-            raise MachineError(f"bad tape symbol {sym!r}", lineno)
-
-
 def parse_tm(text: str) -> TuringMachine:
     """Parse machine-file text.
 
@@ -404,19 +398,16 @@ def parse_tm(text: str) -> TuringMachine:
     optional ``blank: <symbol>`` line (default ``0``), and one
     ``delta: (state, read) -> (write, L|R, state)`` line per transition.
     ``#`` starts a comment and blank lines are skipped.  The tape alphabet
-    is the blank plus every symbol a transition mentions, sorted.  A bad
-    tape symbol, a bad state count or halting set, and a transition out of a
-    halting or unknown state or into an unknown one raise
-    :class:`MachineError` naming the line at fault; symbol coverage, a
-    whole-file property, is left to :class:`TuringMachine`.
+    is the blank plus every symbol a transition mentions, sorted.  Only the
+    syntax is checked here (:class:`ParseError`); the machine is checked by
+    :class:`TuringMachine`, whose :class:`MachineError` comes back with the
+    first line naming the part at fault, or unchanged when it names none.
     """
     n_states: int | None = None
     halting: frozenset[int] | None = None
-    states_line = 0
-    blank = "0"
-    blank_seen = False
+    blank: str | None = None
     transitions: dict[tuple[int, str], Transition] = {}
-    delta_lines: dict[tuple[int, str], int] = {}
+    lines: dict[tuple, int] = {}  # the first line naming each part a MachineError can name
     for lineno, key, rest in directives(text):
         if key == "states":
             if n_states is not None:
@@ -424,46 +415,40 @@ def parse_tm(text: str) -> TuringMachine:
             match = _TM_HEADER_RE.match(rest)
             if not match:
                 raise ParseError("expected 'states: n halting: {...}'", lineno)
-            n_states, states_line = int(match.group(1)), lineno
+            n_states, lines[("states",)] = int(match.group(1)), lineno
             body = match.group(2).strip()
             names = [p.strip() for p in body.split(",")] if body else []
             if not all(p.isdigit() for p in names):
                 raise ParseError("halting states must be integers", lineno)
             halting = frozenset(int(p) for p in names)
         elif key == "blank":
-            if blank_seen:
+            if blank is not None:
                 raise ParseError("duplicate blank line", lineno)
             if not rest:
                 raise ParseError("blank needs a symbol", lineno)
-            _check_symbols(lineno, rest)
-            blank, blank_seen = rest, True
+            blank = rest
+            lines.setdefault(("symbol", blank), lineno)
         elif key == "delta":
             match = _TM_DELTA_RE.match(rest)
             if not match:
-                raise ParseError(
-                    "expected 'delta: (state, read) -> (write, L|R, state)'", lineno
-                )
-            state, read = int(match.group(1)), match.group(2)
-            _check_symbols(lineno, read, match.group(3))
+                raise ParseError("expected 'delta: (state, read) -> (write, L|R, state)'", lineno)
+            state, read, write = int(match.group(1)), match.group(2), match.group(3)
             if (state, read) in transitions:
                 raise ParseError(f"duplicate transition for ({state}, {read})", lineno)
-            transitions[(state, read)] = (match.group(3), match.group(4), int(match.group(5)))
-            delta_lines[(state, read)] = lineno
+            transitions[(state, read)] = (write, match.group(4), int(match.group(5)))
+            lines[("delta", state, read)] = lineno
+            for sym in (read, write):
+                lines.setdefault(("symbol", sym), lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
     if n_states is None or halting is None:
         raise ParseError("missing 'states: n halting: {...}' line")
-    fault = _state_fault(n_states, halting, transitions)
-    if fault is not None:
-        message, key = fault
-        raise MachineError(message, states_line if key is None else delta_lines[key])
-    symbols = {read for _, read in transitions}
-    symbols.update(write for write, _, _ in transitions.values())
-    symbols.discard(blank)
-    return TuringMachine(
-        n_states=n_states,
-        tape_alphabet=(blank, *sorted(symbols)),
-        transitions=transitions,
-        halting=halting,
-        blank=blank,
-    )
+    blank = "0" if blank is None else blank
+    symbols = {sym for (_, read), (write, _, _) in transitions.items() for sym in (read, write)}
+    tape = (blank, *sorted(symbols - {blank}))
+    try:
+        return TuringMachine(n_states, tape, transitions, halting, blank)
+    except MachineError as exc:
+        if exc.part not in lines:
+            raise
+        raise MachineError(str(exc), exc.part, lines[exc.part]) from None

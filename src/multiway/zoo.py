@@ -15,6 +15,8 @@ from typing import Callable
 from .algebra import sum_systems
 from .core import MultiwaySystem, make_system
 from .tm import (
+    FWD_TOKEN,
+    REW_TOKEN,
     build_binary_counter,
     build_incrementer,
     chain_restart_rules,
@@ -149,7 +151,7 @@ def oscillating_composite() -> MultiwaySystem:
     machine_side = make_system(
         rules,
         tm_input_state(stepper, 1).render(),
-        alphabet=machine_alphabet(stepper) + "[fwd][rew]xy[s0][s1][s2][s3][s4]",
+        alphabet=machine_alphabet(stepper) + FWD_TOKEN + REW_TOKEN + "xy[s0][s1][s2][s3][s4]",
     )
     linear_side = make_system([("P", "PQ")], "PP")
     return sum_systems(linear_side, machine_side).system

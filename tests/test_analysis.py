@@ -14,6 +14,7 @@ from multiway.analysis import (
     UNDECIDABILITY_CAVEAT,
     _linreg,
     _max_gap,
+    _regularity,
     check_staircase_inversion,
     classify,
     envelopes,
@@ -272,6 +273,25 @@ def test_classify_oscillating_between_line_and_square():
     assert report.lower_class.kind == "Pol"
     assert report.upper_class.parameter - report.lower_class.parameter > 0.5
     assert report.regular == "oscillating"
+
+
+@pytest.mark.parametrize(
+    "upper, lower, verdict",
+    [
+        (GrowthClass("Exp", 1.5), GrowthClass("Pol", 2.0), "oscillating"),
+        (GrowthClass("Pol", 2.0), GrowthClass("Pol", 1.4), "oscillating"),
+        (GrowthClass("Pol", 2.0), GrowthClass("Pol", 1.6), "regular"),
+        (GrowthClass("Pol", 2.0), GrowthClass("Unknown"), "undetermined"),
+    ],
+)
+def test_envelopes_of_different_kinds_or_degrees_oscillate(upper, lower, verdict):
+    assert _regularity(upper, lower) == verdict
+
+
+def test_a_growth_class_prints_its_kind_and_fitted_parameter():
+    assert str(GrowthClass("Fin")) == "Fin"
+    assert str(GrowthClass("Pol", 1.0012)) == "Pol(1)"
+    assert str(GrowthClass("Exp", 2.71828)) == "Exp(2.72)"
 
 
 def test_classify_flat_lower_envelope_is_undetermined():

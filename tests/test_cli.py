@@ -266,6 +266,21 @@ def test_compile_tm_names_the_line_of_a_bad_symbol(write_file, capsys):
     assert capsys.readouterr().err == "error: line 2: bad tape symbol '0 0'\n"
 
 
+def test_compile_tm_names_the_line_of_a_symbol_that_is_no_glyph(write_file, capsys):
+    machine = "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 2)\ndelta: (1, 0) -> (\x01, R, 2)\n"
+    assert main(["compile-tm", write_file(machine + "delta: (1, \x01) -> (1, R, 2)\n")]) == 4
+    assert capsys.readouterr().err == "error: line 3: bad tape symbol '\\x01'\n"
+
+
+@pytest.mark.parametrize(
+    "args, low",
+    [(["simulate", "x.rules", "--horizon", "0"], 1), (["compile-tm", "x.machine", "--input", "-1"], 0)],
+)
+def test_integer_flags_below_their_floor_are_usage_errors(args, low, capsys):
+    assert main(args) == 2
+    assert f"error: argument {args[2]}: must be >= {low}\n" in capsys.readouterr().err
+
+
 def test_combine_sum_writes_rules_and_provenance(write_file, tmp_path):
     a = write_file(FIG1, "a.rules")
     b = write_file("init: XY\nrule: X -> XY\n", "b.rules")

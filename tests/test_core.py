@@ -439,6 +439,17 @@ def test_a_truncated_evolution_is_the_full_one_cut_at_its_last_layer(rules, init
         assert not fits(k + 1)
 
 
+def test_a_graph_cut_at_its_edges_keeps_only_the_states_of_its_layers():
+    # layers 0-2 of exponential(3) hold 13 states and 39 edges; layer 3's 27 states add 81
+    m = zoo.exponential(3)
+    cut = core._cut_at_edges(evolve(m, 4), 50)
+    assert cut.truncation_reason == "more than 50 edges while building layer 4"
+    assert len(cut.states) == 40
+    assert "states=40, layers=4," in repr(cut)
+    shorter = evolve(m, 3)
+    assert (cut.states, cut.layers, cut.edges) == (shorter.states, shorter.layers, shorter.edges)
+
+
 @pytest.mark.parametrize(
     "budget, limit, unit", [("max_states", 20_000, "states"), ("max_cells", 100_000, "stored cells")]
 )

@@ -125,6 +125,27 @@ def test_transition_targets_are_checked():
         )
 
 
+def test_a_machine_built_directly_names_the_part_at_fault_and_no_line():
+    with pytest.raises(MachineError) as err:
+        TuringMachine(
+            2,
+            ("0", "1"),
+            {(1, "0"): ("7", "R", 2), (1, "1"): ("1", "R", 2)},
+            frozenset({2}),
+        )
+    assert str(err.value) == "transition (1,0) writes unknown symbol '7'"
+    assert (err.value.part, err.value.line) == (("delta", 1, "0"), None)
+
+
+def test_unary_inputs_are_checked():
+    with pytest.raises(ValueError, match="non-negative"):
+        tm_input_state(build_incrementer(), -1)
+    no_digit = TuringMachine(1, ("0",), {}, frozenset({1}))
+    assert tm_input_state(no_digit, 0).render() == "_0H[q1]_"
+    with pytest.raises(ValueError, match="digit 1"):
+        tm_input_state(no_digit, 2)
+
+
 # ---------------------------------------------------------------------------
 # Compilation
 
@@ -178,7 +199,22 @@ BAD_READ = HEADER + DELTA + "delta: (1, 10) -> (1, L, 2)\n"
 BAD_HALTING = "states: 2 halting: {5}\n"
 BAD_TARGET = "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 3)\n"
 OUT_OF_HALTING = "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 2)\ndelta: (2, 1) -> (1, R, 1)\n"
-MACHINE_ERRORS = (BAD_BLANK, BAD_READ, BAD_HALTING, BAD_TARGET, OUT_OF_HALTING)
+ZERO_STATES = "states: 0 halting: {}\n"
+
+
+def no_glyph(sym: str) -> str:
+    """A machine whose line 3 first names ``sym``, written and read."""
+    return (
+        "states: 2 halting: {2}\ndelta: (1, 1) -> (1, R, 2)\n"
+        f"delta: (1, 0) -> ({sym}, R, 2)\ndelta: (1, {sym}) -> (1, R, 2)\n"
+    )
+
+
+# a control character and a private-use one (core keeps those for tokens) are no glyph
+CONTROL, PRIVATE_USE = no_glyph("\x01"), no_glyph("\ue000")
+MACHINE_ERRORS = (
+    BAD_BLANK, BAD_READ, BAD_HALTING, BAD_TARGET, OUT_OF_HALTING, ZERO_STATES, CONTROL, PRIVATE_USE
+)
 
 
 @pytest.mark.parametrize(
@@ -200,12 +236,34 @@ MACHINE_ERRORS = (BAD_BLANK, BAD_READ, BAD_HALTING, BAD_TARGET, OUT_OF_HALTING)
         (BAD_HALTING, 1),
         (BAD_TARGET, 2),
         (OUT_OF_HALTING, 3),
+        ("states: three halting: {}\n", 1),
+        (ZERO_STATES, 1),
+        (CONTROL, 3),
+        (PRIVATE_USE, 3),
     ],
 )
 def test_machine_file_errors_carry_line_numbers(text, line):
     with pytest.raises(MachineError if text in MACHINE_ERRORS else ParseError) as err:
         parse_tm(text)
     assert err.value.line == line
+
+
+def test_a_fault_of_the_whole_table_names_no_line():
+    with pytest.raises(MachineError) as err:
+        parse_tm(HEADER + DELTA)  # three of the four transitions are missing
+    assert (err.value.part, err.value.line) == (None, None)
+    assert str(err.value) == (
+        "transition table must cover working states exactly "
+        "(missing [(1, '0'), (2, '0'), (2, '1')], extra [])"
+    )
+
+
+@pytest.mark.parametrize("sym", ["\x01", "\ue000"])
+def test_a_machine_file_symbol_that_is_no_glyph_names_its_line(sym):
+    with pytest.raises(MachineError) as err:
+        parse_tm(no_glyph(sym))
+    assert str(err.value) == f"line 3: bad tape symbol {sym!r}"
+    assert err.value.part == ("symbol", sym)
 
 
 @pytest.mark.parametrize("braces", ["{}", "{ }"])
