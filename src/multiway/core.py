@@ -28,7 +28,7 @@ _PUA_BASE = 0xE000
 _PUA_LIMIT = 0xF8FF
 
 _token_to_char: dict[str, str] = {}
-_char_to_token: dict[str, str] = {}
+_render_table: dict[int, str] = {}  # {codepoint: "[name]"}, for str.translate
 
 _TOKEN_NAME_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789@_+.-"
@@ -40,7 +40,14 @@ class GlyphError(ValueError):
 
 
 def intern_token(name: str) -> Symbol:
-    """Return the one-character symbol for a bracketed token name like "fwd"."""
+    """Return the one-character symbol for a bracketed token name like "fwd".
+
+    The table is global to the process: a name keeps its character for as
+    long as the process runs, and no name is ever freed.  It holds 6,400
+    names, one per private-use codepoint U+E000–U+F8FF; once they are all
+    taken, a new name raises ``GlyphError("token table exhausted")``, while
+    names already interned still resolve.
+    """
     ch = _token_to_char.get(name)
     if ch is not None:
         return ch
@@ -51,7 +58,7 @@ def intern_token(name: str) -> Symbol:
         raise GlyphError("token table exhausted")
     ch = chr(code)
     _token_to_char[name] = ch
-    _char_to_token[ch] = name
+    _render_table[code] = f"[{name}]"
     return ch
 
 
@@ -81,11 +88,7 @@ def parse_glyphs(text: str) -> str:
 
 def render_glyphs(encoded: str) -> str:
     """Inverse of :func:`parse_glyphs`: interned tokens come back as ``[name]``."""
-    parts = []
-    for c in encoded:
-        name = _char_to_token.get(c)
-        parts.append(c if name is None else f"[{name}]")
-    return "".join(parts)
+    return encoded.translate(_render_table)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ class StatesGraph:
         return dist
 
 
-_RulePlan = tuple[str, str, int, re.Pattern[str] | None]
+_RulePlan = tuple[str, str, int, re.Pattern[str] | None, bool]
 _GuardGroup = tuple[str, list[tuple[str, tuple[int, ...]]]]
 _Plans = tuple[list[_RulePlan], list[_GuardGroup]]
 
@@ -282,10 +285,16 @@ _Plans = tuple[list[_RulePlan], list[_GuardGroup]]
 def _rule_plans(system: MultiwaySystem) -> _Plans:
     """Rule plans and the distinct lhs grouped under guard symbols, computed once per evolution.
 
-    A plan is ``(lhs, rhs, len(lhs), run)`` per rule, where ``run`` matches a
-    run of c when lhs is one symbol c and rhs is in c*, and is None
-    otherwise.  Each distinct lhs carries the ascending indices of the rules
-    that share it, and sits in one group ``(guard, [(lhs, indices), ...])``.
+    A plan is ``(lhs, rhs, len(lhs), run, apart)`` per rule, where ``run``
+    matches a run of c when lhs is one symbol c and rhs is in c*, and is None
+    otherwise, and ``apart`` marks a rule whose matches never rewrite to the
+    same string: rhs is non-empty and ``rhs[0] != lhs[0]`` or ``rhs[-1] !=
+    lhs[-1]``.  (For matches p < q, ``rhs + s[p+n : q+n]`` starts with
+    ``rhs[0]`` and ends with ``s[q+n-1] = lhs[-1]``, while ``s[p:q] + rhs``
+    starts with ``s[p] = lhs[0]`` and ends with ``rhs[-1]``, so the two
+    windows differ.)  A rule with a run is never marked.  Each distinct lhs
+    carries the ascending indices of the rules that share it, and sits in
+    one group ``(guard, [(lhs, indices), ...])``.
     An lhs occurs only where each of its symbols does, so a state that lacks
     a group's guard lacks all of its members.
 
@@ -302,7 +311,8 @@ def _rule_plans(system: MultiwaySystem) -> _Plans:
         run = None
         if len(lhs) == 1 and rhs == lhs * len(rhs):
             run = re.compile(re.escape(lhs) + "+")
-        plans.append((lhs, rhs, len(lhs), run))
+        apart = rhs != "" and (rhs[0] != lhs[0] or rhs[-1] != lhs[-1])
+        plans.append((lhs, rhs, len(lhs), run, apart))
         by_lhs[lhs] = by_lhs.get(lhs, ()) + (ri,)
     produced = system.init + "".join(rhs for _, rhs in system.rules)
     rank = {c: (produced.count(c), i) for i, c in enumerate(dict.fromkeys("".join(by_lhs)))}
@@ -338,10 +348,16 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
     matches of one rule that rewrite to the same string form one group whose
     result is built once.  Two matches p < q of one rule (lhs length n) agree
     exactly when ``rhs + state[p+n : q+n] == state[p:q] + rhs``: outside that
-    window both results are ``state[:p]`` and ``state[q+n:]``.  For a
-    one-symbol lhs c with rhs in c*, every match in a run of c gives the same
-    string, so the whole run is one group, taken in one step without visiting
-    its positions; the identity c -> c rewrites every run to ``state`` itself.
+    window both results are ``state[:p]`` and ``state[q+n:]``.  A rule marked
+    ``apart`` in its plan skips that test, since its matches never agree:
+    each match is its own group.  For a one-symbol lhs c with rhs in c*,
+    every match in a run of c gives the same string, so the whole run is one
+    group, taken in one step without visiting its positions; the identity
+    c -> c rewrites every run to ``state`` itself.
+
+    :func:`evolve` does not call this: it walks the same guards and rules in
+    its own loop and builds no group.  This is the matcher for
+    :func:`_edge_rows` and :func:`successors`, which need the positions.
     """
     rules, guards = plans
     # loops, not comprehensions: Python 3.11 makes a frame per comprehension
@@ -355,7 +371,7 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
         return []
     groups: list[tuple[str, int, Sequence[int]]] = []
     for ri in hits[0] if len(hits) == 1 else sorted(sum(hits, ())):
-        lhs, rhs, n, run = rules[ri]
+        lhs, rhs, n, run, apart = rules[ri]
         p = state.find(lhs)
         if run is not None:
             while p >= 0:
@@ -367,7 +383,7 @@ def _rewrite_groups(plans: _Plans, state: str) -> list[tuple[str, int, Sequence[
         result = state[:p] + rhs + state[p + n :]
         positions = [p]
         while (q := state.find(lhs, p + 1)) >= 0:
-            if rhs + state[p + n : q + n] == state[p:q] + rhs:
+            if not apart and rhs + state[p + n : q + n] == state[p:q] + rhs:
                 positions.append(q)
             else:
                 groups.append((result, ri, positions))
@@ -423,9 +439,10 @@ def successors(system: MultiwaySystem, state: str) -> list[tuple[str, int, int]]
     ``A...A``) is taken in one step; the returned list still holds one
     triple per match.
 
-    Rules are selected as in :func:`evolve` (one test per guard group, then
-    lhs tests only under a present guard), but the guard groups are rebuilt
-    on every call; ``evolve`` builds them once.
+    Rules are selected as :func:`evolve` selects them (one test per guard
+    group, then lhs tests only under a present guard), but the guard groups
+    are rebuilt on every call, and the triples are built by
+    ``_rewrite_groups``, which ``evolve`` does not call.
     """
     return [
         (result, ri, pos)
@@ -454,19 +471,25 @@ def evolve(
     ``_rule_plans``), one per lhs only under a guard that is present, then a
     position scan only for the rules whose lhs occurs.  So a group whose
     guard is absent from the state costs one one-symbol test however many
-    lhs it holds.  A rewrite result is built and deduplicated once per group
-    of consecutive matches of one rule that give the same string, not once
-    per match.  For a one-symbol lhs c with rhs in c*, a whole run of c is
-    one group found in one step, so a run of L matches of ``A -> AA`` costs
-    one step, not L; other coinciding matches are still found one by one.
-    Each group costs one dict membership test, and no layer is sorted.  A
-    state is stored once, as its string: one insertion-ordered dict is both
-    the seen test and the id order, and ``states`` is read from it at the
-    end.  No id or int is kept per state, since each layer is the ``range``
-    of ids it was given.  No edge is built here: the graph's ``edges`` are
-    derived on each read, by a second matching pass over the expanded
-    states that costs one step per match, so a caller that reads only
-    states and layers never pays it.
+    lhs it holds.  The state is expanded in this function's own loop, and
+    each result is tested against the seen dict, and stored there, as soon
+    as it is built: no list, tuple or positions object is made per state or
+    per group.  A result is built once per group of consecutive matches of
+    one rule that give the same string, not once per match.  A rule whose
+    matches can never coincide (``apart`` in ``_rule_plans``) builds one
+    result per match and makes no window test; a rule with rhs equal to its
+    lhs builds nothing, since every match rewrites the state to itself.  For
+    a one-symbol lhs c with rhs in c*, a whole run of c is one group found
+    in one step, so a run of L matches of ``A -> AA`` costs one step, not L;
+    other coinciding matches are found one by one, by the window test that
+    ``_rewrite_groups`` describes, and only the first of a group builds its
+    string.  No layer is sorted.  A state is stored once, as its string: one
+    insertion-ordered dict is both the seen test and the id order, and
+    ``states`` is read from it at the end.  No id or int is kept per state,
+    since each layer is the ``range`` of ids it was given.  No edge is built
+    here: the graph's ``edges`` are derived on each read, by a second
+    matching pass over the expanded states that costs one step per match,
+    so a caller that reads only states and layers never pays it.
 
     Args:
         system: the rewriting system.
@@ -495,7 +518,7 @@ def evolve(
         raise ValueError("max_states must be >= 1")
     if max_cells < len(system.init):
         raise ValueError("max_cells must be at least the length of the initial string")
-    plans = _rule_plans(system)
+    rules, guards = _rule_plans(system)
     # insertion order is id order, so one dict is both the seen-set and the states
     seen: dict[str, None] = {system.init: None}
     layers: list[Sequence[StateId]] = [range(1)]
@@ -507,17 +530,44 @@ def evolve(
         start = len(seen)
         layer: list[str] = []
         for s in frontier:
-            for t, _, _ in _rewrite_groups(plans, s):
-                if t not in seen:
-                    seen[t] = None
-                    layer.append(t)
-                    cells += len(t)
-                    if len(seen) > max_states:
-                        reason = f"more than {max_states} states while building layer {d}"
-                        break
-                    if cells > max_cells:
-                        reason = f"more than {max_cells} stored cells while building layer {d}"
-                        break
+            # the guard walk of _rewrite_groups, inlined: a helper called once
+            # per state costs a few per cent of a broad evolution
+            hits: list[tuple[int, ...]] = []
+            for g, members in guards:
+                if g in s:
+                    for lhs, ris in members:
+                        if lhs is g or lhs in s:
+                            hits.append(ris)
+            if not hits:
+                continue
+            for ri in hits[0] if len(hits) == 1 else sorted(sum(hits, ())):
+                lhs, rhs, n, run, apart = rules[ri]
+                if rhs == lhs:
+                    continue  # every match gives s, which is seen
+                p = s.find(lhs)
+                while p >= 0:
+                    t = s[:p] + rhs + s[p + n :]
+                    if t not in seen:
+                        seen[t] = None
+                        layer.append(t)
+                        cells += len(t)
+                        if len(seen) > max_states:
+                            reason = f"more than {max_states} states while building layer {d}"
+                            break
+                        if cells > max_cells:
+                            reason = f"more than {max_cells} stored cells while building layer {d}"
+                            break
+                    if run is not None:
+                        p = s.find(lhs, run.match(s, p).end())
+                        continue
+                    q = s.find(lhs, p + 1)
+                    if not apart:
+                        # skip the matches that give t again, as _rewrite_groups groups them
+                        while q >= 0 and rhs + s[p + n : q + n] == s[p:q] + rhs:
+                            p, q = q, s.find(lhs, q + 1)
+                    p = q
+                if reason is not None:
+                    break
             if reason is not None:
                 break
         if reason is not None:

@@ -3,13 +3,15 @@
 The reference expander below scans every position with startswith instead of
 str.find, keeps layers as plain sets, and knows nothing about budgets or
 edges.  Engine results are checked against it on small systems.  The
-rule-independence reference below compares graphs by layered isomorphism,
-the way ``check_rule_independence`` once did.  The map reference files
-every edge of both graphs as a tuple pair, the way ``_map_fails_at`` once
-did.  The refinement reference colours nodes with ``Counter`` signatures,
-the way ``layered_isomorphic`` once did.  Systems over two token pools
-interned in opposite orders check that results do not depend on the
-interning table.
+rewrite-group reference runs the window test for every rule, the way
+``_rewrite_groups`` once did, before rules whose matches cannot coincide
+skipped it.  The rule-independence reference below compares graphs by
+layered isomorphism, the way ``check_rule_independence`` once did.  The map
+reference files every edge of both graphs as a tuple pair, the way
+``_map_fails_at`` once did.  The refinement reference colours nodes with
+``Counter`` signatures, the way ``layered_isomorphic`` once did.  Systems
+over two token pools interned in opposite orders check that results do not
+depend on the interning table.
 """
 
 from __future__ import annotations
@@ -56,6 +58,67 @@ def naive_successors(rules: list[tuple[str, str]], s: str) -> list[tuple[str, in
             if s.startswith(lhs, p):
                 out.append((s[:p] + rhs + s[p + len(lhs) :], ri, p))
     return out
+
+
+def reference_rewrite_groups(system: MultiwaySystem, state: str) -> list[tuple[str, int, list]]:
+    """(result, rule index, positions) per group of consecutive matches of one rule that agree.
+
+    Every rule is tried in index order.  For a one-symbol lhs c with rhs in
+    c*, each run of c is one group.  Any other rule's matches p < q (lhs
+    length n), taken in turn, stay in one group exactly when
+    ``rhs + state[p+n : q+n] == state[p:q] + rhs``, whatever the rule.
+    """
+    groups = []
+    for ri, (lhs, rhs) in enumerate(system.rules):
+        n = len(lhs)
+        p = state.find(lhs)
+        if n == 1 and rhs == lhs * len(rhs):
+            while p >= 0:
+                q = p
+                while q < len(state) and state[q] == lhs:
+                    q += 1
+                groups.append((state[:p] + rhs + state[p + 1 :], ri, list(range(p, q))))
+                p = state.find(lhs, q)
+            continue
+        if p < 0:
+            continue
+        result = state[:p] + rhs + state[p + n :]
+        positions = [p]
+        while (q := state.find(lhs, p + 1)) >= 0:
+            if rhs + state[p + n : q + n] == state[p:q] + rhs:
+                positions.append(q)
+            else:
+                groups.append((result, ri, positions))
+                result = state[:q] + rhs + state[q + n :]
+                positions = [q]
+            p = q
+        groups.append((result, ri, positions))
+    return groups
+
+
+@st.composite
+def window_rule(draw) -> tuple[str, str]:
+    """A rule over ``AB``: an empty rhs, one framed by the lhs's ends, the lhs repeated, or any word."""
+    lhs = draw(st.text("AB", min_size=1, max_size=3))
+    word = st.text("AB", max_size=3)
+    rhs = draw(
+        st.one_of(
+            st.just(""),
+            word.map(lambda w: lhs[0] + w + lhs[-1]),
+            st.integers(1, 3).map(lambda k: lhs * k),
+            word,
+        )
+    )
+    return lhs, rhs
+
+
+# words over AB, some made of long one-symbol runs
+window_state = st.one_of(
+    st.text("AB", max_size=12),
+    st.lists(st.tuples(st.sampled_from("AB"), st.integers(1, 6)), max_size=4).map(
+        lambda runs: "".join(c * k for c, k in runs)
+    ),
+)
 
 
 def naive_rewrites(rules: list[tuple[str, str]], s: str) -> set[str]:

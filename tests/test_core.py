@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import logging
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -15,6 +18,9 @@ from conftest import (
     pool_init,
     pool_rules,
     pool_system,
+    reference_rewrite_groups,
+    window_rule,
+    window_state,
 )
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -24,6 +30,7 @@ from multiway.algebra import _map_fails_at, layered_isomorphic
 from multiway.core import (
     Edge,
     GlyphError,
+    MultiwaySystem,
     Rule,
     StatesGraph,
     evolve,
@@ -42,6 +49,32 @@ def test_parse_glyphs_round_trip():
     assert render_glyphs(encoded) == "AB[fwd]C[q12]"
     # interning is stable: same token name, same character
     assert parse_glyphs("[fwd]") == encoded[2]
+
+
+def test_token_table_holds_6400_names_and_frees_none():
+    # in a child process, so this suite's own table is untouched
+    code = (
+        "from multiway.core import GlyphError, intern_token, parse_glyphs, render_glyphs\n"
+        "chars = []\n"
+        "try:\n"
+        "    while True:\n"
+        "        chars.append(intern_token(f'n{len(chars)}'))\n"
+        "except GlyphError as e:\n"
+        "    assert str(e) == 'token table exhausted', e\n"
+        "assert ord(chars[0]) >= 0xE000 and ord(chars[-1]) == 0xF8FF\n"
+        "assert ord(chars[-1]) - 0xE000 + 1 == 6400\n"
+        "assert [intern_token(f'n{i}') for i in range(len(chars))] == chars\n"
+        "text = f'[n0][n{len(chars) - 1}]'\n"
+        "assert render_glyphs(parse_glyphs(text)) == text\n"
+        "try:\n"
+        "    intern_token('one_more')\n"
+        "except GlyphError as e:\n"
+        "    assert str(e) == 'token table exhausted', e\n"
+        "else:\n"
+        "    raise AssertionError('a new name was interned past the limit')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize(
@@ -229,6 +262,77 @@ def test_absent_guard_skips_its_lhs():
     needles = RecordingState.needles
     assert needles == [g for g, _ in plans[1]] and len(needles) <= 4
     assert "H" in needles and not any("H" in n for n in needles if n != "H")
+
+
+def test_evolve_never_searches_an_absent_lhs():
+    # structural, not timed: evolve's own loop selects rules as _rewrite_groups
+    # does, so expanding the initial string passes no absent lhs to find,
+    # whether its guard is absent ([x0] to [x24], each its own guard) or
+    # present (A[x25] to A[x49], members under the guard A)
+    class RecordingState(str):
+        needles: list[str] = []
+
+        def find(self, sub, *args):
+            self.needles.append(sub)
+            return super().find(sub, *args)
+
+    absent = [(f"[x{i}]", "B") for i in range(25)] + [(f"A[x{i}]", "B") for i in range(25, 50)]
+    m = make_system(absent[:25] + [("A", "AB")] + absent[25:], "AAB")
+    g = evolve(MultiwaySystem(m.alphabet, m.rules, RecordingState(m.init)), 1)
+    assert g.layer_strings(1) == ["ABAB", "AABB"]
+    assert RecordingState.needles and set(RecordingState.needles) == {"A"}
+
+
+def test_evolve_skips_the_lhs_of_an_absent_guard():
+    # structural, not timed: on log_system's rules, evolve expands a state
+    # holding a tally run but no head with one one-symbol test per guard
+    # group, and tests no lhs containing the head symbol H
+    class RecordingState(str):
+        needles: list[str] = []
+
+        def __contains__(self, sub):
+            self.needles.append(sub)
+            return super().__contains__(sub)
+
+    m = zoo.log_system()
+    _, guards = core._rule_plans(m)
+    tally = parse_glyphs("[tally]")
+    head, tail = parse_glyphs("_0_0_"), parse_glyphs("11111_0_0")
+    init = RecordingState(head + tally * 200 + tail)
+    graph = evolve(MultiwaySystem(m.alphabet, m.rules, init), 1)
+    assert graph.layer_strings(1) == [head + tally * 201 + tail]
+    needles = RecordingState.needles
+    assert needles == [g for g, _ in guards] and len(needles) <= 4
+    assert "H" in needles and not any("H" in n for n in needles if n != "H")
+
+
+@pytest.mark.parametrize(
+    "rule, state, groups",
+    [
+        (("AB", "ABAB"), "ABABAB", [("ABABABAB", 0, [0, 2, 4])]),
+        (("AA", ""), "AAAA", [("AA", 0, [0, 1, 2])]),
+        (("A", "AB"), "AAA", [("ABAA", 0, [0]), ("AABA", 0, [1]), ("AAAB", 0, [2])]),
+    ],
+)
+def test_rewrite_groups_join_only_matches_that_can_coincide(rule, state, groups):
+    m = make_system([rule], state)
+    got = core._rewrite_groups(core._rule_plans(m), state)
+    assert [(t, ri, list(ps)) for t, ri, ps in got] == groups
+    assert reference_rewrite_groups(m, state) == groups
+
+
+def test_rules_whose_matches_cannot_coincide_are_marked():
+    for m in (zoo.intermediate(), zoo.exponential(3), zoo.polynomial(), make_system([("P", "PQ")], "P")):
+        plans, _ = core._rule_plans(m)
+        assert all(apart for *_, apart in plans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=st.lists(window_rule(), min_size=1, max_size=3), state=window_state)
+def test_rewrite_groups_agree_with_a_window_test_for_every_rule(rules, state):
+    m = make_system(rules, "A", alphabet="AB")
+    got = core._rewrite_groups(core._rule_plans(m), state)
+    assert [(t, ri, list(ps)) for t, ri, ps in got] == reference_rewrite_groups(m, state)
 
 
 # Hand-derived evolution of ({A->BC, B->C, C->B}, "A"):
